@@ -122,7 +122,7 @@ def build_relaxed_candidates(sim):
     cached = getattr(sim, "_relaxed_pad", None)
     if cached is not None:
         return cached
-    cand_pad, _full_bits, maxdeg = build_padded_candidates(sim)
+    cand_pad, maxdeg = build_padded_candidates(sim)
     n_keys = cand_pad.shape[0]
     n_ch = len(sim.ch_kind)
     num_terminals = sim.topo.num_terminals
@@ -132,8 +132,7 @@ def build_relaxed_candidates(sim):
     )
     if maxdeg:
         cand_ext[:n_keys, :maxdeg] = cand_pad
-    for dst in range(num_terminals):
-        cand_ext[n_keys + 1 + dst, 0] = sim.eject_channel[dst]
+    cand_ext[n_keys + 1 :, 0] = sim.eject_channel
     sim._relaxed_pad = (cand_ext, width)
     return sim._relaxed_pad
 

@@ -135,15 +135,12 @@ _MAX_FANIN = 63
 def build_padded_candidates(sim):
     """Rectangular candidate matrix for ``sim``'s CSR route table.
 
-    Returns ``(cand_pad, full_bits, maxdeg)``:
+    Returns ``(cand_pad, maxdeg)``:
 
     * ``cand_pad`` -- ``(num_keys, maxdeg) int64``; row ``k`` holds the
       output-channel candidates of CSR key ``k``, padded with the dummy
       channel id ``len(sim.ch_kind)`` (whose ``busy`` mirror is pinned
       past any horizon, so padding can never look viable);
-    * ``full_bits`` -- per-key ``(1 << row_length) - 1`` as a Python
-      list: the bitmask value meaning "every candidate of the row",
-      useful to batch consumers and invariant tests;
     * ``maxdeg`` -- the widest row (0 for degenerate tables).
 
     Cached on the simulator, next to the CSR table itself.
@@ -154,20 +151,15 @@ def build_padded_candidates(sim):
     from ..simulation.fastpath import build_candidate_table
 
     table = build_candidate_table(sim)
-    offsets = table.offsets.astype(np.int64)
-    lens = np.diff(offsets)
+    lens = np.diff(table.offsets)
     n_keys = len(table.flags)
     maxdeg = int(lens.max()) if n_keys and len(table.values) else 0
     dummy = len(sim.ch_kind)
     cand_pad = np.full((n_keys, maxdeg), dummy, dtype=np.int64)
     if maxdeg:
-        rows = np.repeat(np.arange(n_keys, dtype=np.int64), lens)
-        pos = np.arange(len(table.values), dtype=np.int64) - np.repeat(
-            offsets[:-1], lens
-        )
-        cand_pad[rows, pos] = table.values
-    full_bits = ((1 << lens.astype(object)) - 1).tolist() if n_keys else []
-    sim._vec_pad = (cand_pad, full_bits, maxdeg)
+        # Row-major order of the mask's True cells is the CSR order.
+        cand_pad[np.arange(maxdeg) < lens[:, None]] = table.values
+    sim._vec_pad = (cand_pad, maxdeg)
     return sim._vec_pad
 
 
@@ -303,7 +295,7 @@ def run_vectorized(sim) -> SimResult:
 
     # Batched phase, engaged only when the run is large enough to
     # amortize the per-cycle numpy overhead (see module docstring).
-    cand_pad, _full_bits, maxdeg = build_padded_candidates(sim)
+    cand_pad, maxdeg = build_padded_candidates(sim)
     max_fanin = max((u_off[s + 1] - u_off[s] for s in range(n_sw)), default=0)
     batching = _BATCH_MIN_UNITS <= n_units and max_fanin <= _MAX_FANIN
     if batching:

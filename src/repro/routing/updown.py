@@ -55,6 +55,7 @@ class UpDownRouter:
             raise ValueError("need one up-stage per level boundary")
         self.level_sizes = list(level_sizes)
         self.num_levels = len(level_sizes)
+        self._packed: list[list] | None = None
         self._up: list[list[tuple[int, ...]]] = [
             [tuple(row) for row in stage] for stage in up_stages
         ]
@@ -101,7 +102,8 @@ class UpDownRouter:
         (asserted by ``tests/test_accel_differential.py``).  When the
         caller already holds CSR ``stage_arrays`` (packed topologies)
         the sweeper indexes those directly -- identical edge order,
-        identical tables.
+        identical tables.  The packed tables are kept for
+        :meth:`packed_reach`.
         """
         if stage_arrays is not None:
             sweeper = _accel.StageSweeper.from_arrays(
@@ -110,6 +112,7 @@ class UpDownRouter:
         else:
             sweeper = _accel.StageSweeper(self.level_sizes, self._up)
         packed = sweeper.reach_tables()
+        self._packed = packed
         self._reach = []
         for level in range(self.num_levels):
             per_budget = [_accel.masks_to_ints(t) for t in packed[level]]
@@ -152,6 +155,26 @@ class UpDownRouter:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def packed_reach(self) -> list[list]:
+        """Packed ``uint64`` ``U_j`` masks, ``tables[level][j]``.
+
+        One row per switch, as :meth:`StageSweeper.reach_tables` lays
+        them out.  Kept from the accelerated table build; a router
+        built on the pure-Python path packs its big-int tables on
+        first use.
+        """
+        if self._packed is None:
+            self._packed = [
+                [
+                    _accel.ints_to_masks(
+                        [row[j] for row in per_switch], self.level_sizes[0]
+                    )
+                    for j in range(self.num_levels - level)
+                ]
+                for level, per_switch in enumerate(self._reach)
+            ]
+        return self._packed
+
     def descendants(self, level: int, index: int) -> int:
         """Bitmask of leaves below switch ``(level, index)``."""
         return self._reach[level][index][0]

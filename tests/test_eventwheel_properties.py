@@ -9,24 +9,37 @@
 2. CSR candidate tables from
    :func:`~repro.simulation.fastpath.build_candidate_table` agree with
    :meth:`Simulator._output_candidates` for every (switch,
-   destination, phase) on randomly generated small RFCs and direct
-   networks, including pruned (faulted) instances.
+   destination, phase) on randomly generated small RFCs, CFTs, packed
+   RFCs and direct networks, including pruned (faulted) instances,
+   non-minimal routing and RFCs whose leaf masks span several
+   ``uint64`` words.  The folded Clos tables are compared array for
+   array (``offsets``, ``values``, ``flags``, dtypes included) with a
+   table built key by key from the reference, and one pin does the same
+   on the RFC(16, 256, 3) instance of the benchmark's exact workload.
 """
 
 import heapq
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.rfc import radix_regular_rfc
+from repro.core.rfc import radix_regular_rfc, rfc_with_updown
 from repro.routing.table import CsrTable
-from repro.routing.updown import RoutingError
+from repro.routing.updown import RoutingError, UpDownRouter
 from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator
-from repro.simulation.fastpath import EventWheel, build_candidate_table
+from repro.simulation.fastpath import (
+    EventWheel,
+    _channel_lookup,
+    build_candidate_table,
+)
 from repro.simulation.packet import Packet
 from repro.simulation.traffic import make_traffic
+from repro.topologies.fattree import commodity_fat_tree
+from repro.topologies.packed import PackedFoldedClos, packed_radix_regular_rfc
 from repro.topologies.rrn import random_regular_network
 
 # ----------------------------------------------------------------------
@@ -154,13 +167,18 @@ rfc_configs = st.fixed_dictionaries(
         "levels": st.sampled_from([2, 3]),
         "seed": st.integers(min_value=0, max_value=200),
         "faults": st.integers(min_value=0, max_value=3),
+        "minimal": st.booleans(),
     }
 )
 
 
-def _build_sim(topo, removed, valiant=False):
+def _build_sim(topo, removed, valiant=False, minimal=True):
     params = SimulationParams(
-        measure_cycles=10, warmup_cycles=0, seed=1, valiant=valiant
+        measure_cycles=10,
+        warmup_cycles=0,
+        seed=1,
+        valiant=valiant,
+        minimal_routing=minimal,
     )
     traffic = make_traffic("uniform", topo.num_terminals, rng=2)
     return Simulator(topo, traffic, 0.5, params, removed)
@@ -177,6 +195,33 @@ def _reference_row(sim, switch, packet):
     return CsrTable.ROUTE, cands
 
 
+def _reference_table(sim):
+    """Folded Clos table built key by key from the reference engine."""
+    topo = sim.topo
+    hosts = topo.hosts_per_leaf
+
+    def entry(switch, leaf):
+        packet = Packet(src=0, dst=leaf * hosts, created=0)
+        return _reference_row(sim, switch, packet)
+
+    return CsrTable.build(topo.num_switches, topo.num_leaves, entry)
+
+
+def _assert_same_table(table, reference):
+    assert table.num_sources == reference.num_sources
+    assert table.num_dests == reference.num_dests
+    for name in ("offsets", "values", "flags"):
+        got, want = getattr(table, name), getattr(reference, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def _check_folded(topo, faults, minimal=True):
+    removed = topo.links()[:faults]
+    sim = _build_sim(topo, removed, minimal=minimal)
+    _assert_same_table(build_candidate_table(sim), _reference_table(sim))
+
+
 @given(config=rfc_configs)
 def test_csr_table_matches_reference_rfc(config):
     # Radix-regular RFCs need R/2 <= N_l = N1/2 roots.
@@ -184,19 +229,61 @@ def test_csr_table_matches_reference_rfc(config):
     topo = radix_regular_rfc(
         config["radix"], config["n1"], config["levels"], rng=config["seed"]
     )
-    links = topo.links()
-    removed = links[: config["faults"]]
-    sim = _build_sim(topo, removed)
+    _check_folded(topo, config["faults"], config["minimal"])
+
+
+@given(
+    radix=st.sampled_from([4, 6]),
+    levels=st.sampled_from([1, 2, 3]),
+    faults=st.integers(min_value=0, max_value=4),
+    minimal=st.booleans(),
+)
+def test_csr_table_matches_reference_cft(radix, levels, faults, minimal):
+    _check_folded(commodity_fat_tree(radix, levels), faults, minimal)
+
+
+@given(config=rfc_configs)
+def test_csr_table_matches_reference_packed(config):
+    assume(config["radix"] <= config["n1"])
+    topo = packed_radix_regular_rfc(
+        config["radix"], config["n1"], config["levels"], rng=config["seed"]
+    )
+    assert isinstance(topo, PackedFoldedClos)
+    _check_folded(topo, config["faults"], config["minimal"])
+
+
+@settings(max_examples=15)
+@given(
+    config=st.fixed_dictionaries(
+        {
+            "radix": st.sampled_from([4, 6]),
+            # 66..130 leaves: masks of two and three uint64 words.
+            "n1": st.sampled_from([66, 96, 130]),
+            "levels": st.sampled_from([2, 3]),
+            "seed": st.integers(min_value=0, max_value=200),
+            "faults": st.integers(min_value=0, max_value=8),
+            "minimal": st.booleans(),
+        }
+    )
+)
+def test_csr_table_matches_reference_multiword(config):
+    topo = radix_regular_rfc(
+        config["radix"], config["n1"], config["levels"], rng=config["seed"]
+    )
+    _check_folded(topo, config["faults"], config["minimal"])
+
+
+def test_csr_table_pinned_uniform_2k():
+    """RFC(16, 256, 3) seed 1, the benchmark's exact-engine instance."""
+    topo, _attempts = rfc_with_updown(16, 256, 3, rng=1)
+    sim = _build_sim(topo, None)
     table = build_candidate_table(sim)
-    assert table.num_sources == topo.num_switches
-    assert table.num_dests == topo.num_leaves
-    hosts = topo.hosts_per_leaf
-    for switch in range(topo.num_switches):
-        for leaf in range(topo.num_leaves):
-            packet = Packet(src=0, dst=leaf * hosts, created=0)
-            flag, cands = _reference_row(sim, switch, packet)
-            assert table.flag(switch, leaf) == flag
-            assert list(table.candidates(switch, leaf)) == cands
+    _assert_same_table(table, _reference_table(sim))
+    assert len(table.flags) == 163840
+    assert len(table.values) == 640334
+    # ROUTE, DELIVER (one per leaf), UNROUTABLE (roots above other
+    # leaves' subtrees).
+    assert np.bincount(table.flags).tolist() == [143109, 256, 20475]
 
 
 @given(config=rfc_configs)
@@ -209,7 +296,7 @@ def test_csr_table_matches_reference_valiant_phase(config):
     )
     if topo.num_leaves < 2:
         return
-    sim = _build_sim(topo, None, valiant=True)
+    sim = _build_sim(topo, None, valiant=True, minimal=config["minimal"])
     table = build_candidate_table(sim)
     hosts = topo.hosts_per_leaf
     for switch in range(topo.num_switches):
@@ -225,6 +312,41 @@ def test_csr_table_matches_reference_valiant_phase(config):
             assert packet.via is not None  # reference must not clear it
             assert table.flag(switch, via_leaf) == flag
             assert list(table.candidates(switch, via_leaf)) == cands
+
+
+def test_csr_table_from_pure_python_router():
+    """A router built without the numpy kernels packs its big-int
+    tables on demand; the table must not depend on which path built
+    them."""
+    topo = radix_regular_rfc(6, 8, 3, rng=4)
+    sim = _build_sim(topo, topo.links()[:2])
+    accel_masks = sim.router.packed_reach()
+    sim.router = UpDownRouter(
+        sim.router.level_sizes, sim.router._up, accel=False
+    )
+    for fast, slow in zip(accel_masks, sim.router.packed_reach()):
+        assert [m.tolist() for m in fast] == [m.tolist() for m in slow]
+    _assert_same_table(build_candidate_table(sim), _reference_table(sim))
+
+
+def test_channel_lookup_keeps_last_write():
+    """A switch pair listed twice resolves to its later channel, as the
+    ``link_channel`` dict's last write does; a missing pair raises."""
+    sim = SimpleNamespace(
+        topo=SimpleNamespace(num_switches=3),
+        ch_kind=[0, 0, 1, 0, 0],
+        ch_src=[0, 1, -1, 0, 2],
+        ch_dst=[1, 0, 0, 1, 1],
+    )
+    lookup = _channel_lookup(sim)
+    assert lookup(np.array([0, 1, 2]), np.array([1, 0, 1])).tolist() == [
+        3,
+        1,
+        4,
+    ]
+    with pytest.raises(KeyError):
+        lookup(np.array([1]), np.array([2]))
+    assert lookup(np.array([], dtype=np.int64), np.array([])).size == 0
 
 
 @given(
