@@ -88,7 +88,7 @@ from .rng import (
     mix64_array,
     uniform01_array,
 )
-from .sim import EMPTY_READY, build_padded_candidates
+from .sim import EMPTY_READY, build_padded_candidates, padded_width
 
 __all__ = ["run_relaxed", "build_relaxed_candidates"]
 
@@ -108,7 +108,7 @@ def build_relaxed_candidates(sim):
     """Extended candidate matrix covering delivery heads.
 
     Returns ``(cand_ext, width)`` where ``cand_ext`` is ``(n_keys + 1 +
-    num_terminals, width) int64``: rows ``0..n_keys-1`` are the CSR
+    num_terminals, width) int32``: rows ``0..n_keys-1`` are the CSR
     candidate rows (padded with the permanently-blocked dummy channel
     ``n_ch``), row ``n_keys`` is fully blocked (empty units and
     unroutable heads key here so the batched pass can never grant
@@ -117,21 +117,26 @@ def build_relaxed_candidates(sim):
     batched phase only *filters* and must keep delivery heads
     always-viable for the scalar scan -- this engine grants straight
     from the batch, so eject channels get real viability gates and a
-    real candidate row.  Cached on the simulator.
+    real candidate row.
+
+    The matrix is allocated once and
+    :func:`~repro.accel.sim.build_padded_candidates` fills its CSR rows
+    in place, so no second padded copy exists.  Cached on the
+    simulator.
     """
     cached = getattr(sim, "_relaxed_pad", None)
     if cached is not None:
         return cached
-    cand_pad, maxdeg = build_padded_candidates(sim)
-    n_keys = cand_pad.shape[0]
+    from ..simulation.fastpath import build_candidate_table
+
+    table = build_candidate_table(sim)
+    n_keys = len(table.flags)
     n_ch = len(sim.ch_kind)
     num_terminals = sim.topo.num_terminals
-    width = max(maxdeg, 1)
-    cand_ext = np.full(
-        (n_keys + 1 + num_terminals, width), n_ch, dtype=np.int64
-    )
-    if maxdeg:
-        cand_ext[:n_keys, :maxdeg] = cand_pad
+    width = max(padded_width(table), 1)
+    cand_ext = np.empty((n_keys + 1 + num_terminals, width), dtype=np.int32)
+    build_padded_candidates(sim, out=cand_ext[:n_keys])
+    cand_ext[n_keys:] = n_ch
     cand_ext[n_keys + 1 :, 0] = sim.eject_channel
     sim._relaxed_pad = (cand_ext, width)
     return sim._relaxed_pad
@@ -186,10 +191,11 @@ def run_relaxed(sim) -> SimResult:
     from ..simulation.fastpath import build_candidate_table
 
     table = build_candidate_table(sim)
-    cand_lists = table.to_lists()
     n_dests = table.num_dests
-    n_keys = len(cand_lists)
-    routable = (table.flags != table.UNROUTABLE).tolist()
+    n_keys = len(table.flags)
+    # One byte per key (indexing gives 0/1): the engine reads only
+    # routability from the table, the candidates come from ``cand_ext``.
+    routable = (table.flags != table.UNROUTABLE).tobytes()
 
     ch_src = sim.ch_src
     ch_dst = sim.ch_dst
@@ -365,7 +371,7 @@ def run_relaxed(sim) -> SimResult:
         cls_a[u] = cls
         if key < 0:
             vkey_a[u] = deliver_base + packet.dst
-        elif cand_lists[key] is not None:
+        elif routable[key]:
             vkey_a[u] = key
         else:
             if not direct:
@@ -386,20 +392,26 @@ def run_relaxed(sim) -> SimResult:
     # RoutingError replay must stay lazy.
     expose = expose_general
     uniform_tab = uniform_cls and n_sw * num_terminals <= 2_000_000
+    vkey_of: list[list[int]] = []
     if uniform_tab:
-        vkey_of = []
+        # Every host of a leaf keys alike, so a row spreads one
+        # per-leaf list over the destinations: the row entries share
+        # one int object per (switch, leaf) instead of allocating one
+        # per (switch, destination).
+        leaf_at = {sw: leaf for leaf, sw in enumerate(leaf_switch)}
         for s in range(n_sw):
-            row = []
-            for d in range(num_terminals):
-                dleaf = dest_leaf[d]
-                if s == leaf_switch[dleaf]:
-                    row.append(deliver_base + d)
-                else:
-                    k = s * n_dests + dleaf
-                    row.append(k if cand_lists[k] is not None else -1)
+            base = s * n_dests
+            per_leaf = [
+                k if routable[k] else -1 for k in range(base, base + n_dests)
+            ]
+            row = list(map(per_leaf.__getitem__, dest_leaf))
+            leaf = leaf_at.get(s)
+            if leaf is not None:
+                lo = leaf * hosts
+                row[lo : lo + hosts] = range(
+                    deliver_base + lo, deliver_base + lo + hosts
+                )
             vkey_of.append(row)
-    else:
-        vkey_of = []
 
     # ---- pregenerated traffic ------------------------------------------
     # One keyed (terminal, draw-index) matrix of Bernoulli gaps covers

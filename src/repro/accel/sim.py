@@ -105,11 +105,15 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..simulation.packet import Packet
 from ..simulation.stats import SimResult, SimStats
+
+if TYPE_CHECKING:
+    from ..routing.table import CsrTable
 
 __all__ = ["run_vectorized", "build_padded_candidates", "EMPTY_READY"]
 
@@ -132,35 +136,46 @@ _BATCH_MIN_UNITS = 4096
 _MAX_FANIN = 63
 
 
-def build_padded_candidates(sim):
+def padded_width(table: CsrTable) -> int:
+    """Widest candidate row of CSR ``table`` (0 for degenerate tables)."""
+    if not len(table.values):
+        return 0
+    return int(np.diff(table.offsets).max())
+
+
+def build_padded_candidates(sim, out=None):
     """Rectangular candidate matrix for ``sim``'s CSR route table.
 
     Returns ``(cand_pad, maxdeg)``:
 
-    * ``cand_pad`` -- ``(num_keys, maxdeg) int64``; row ``k`` holds the
-      output-channel candidates of CSR key ``k``, padded with the dummy
-      channel id ``len(sim.ch_kind)`` (whose ``busy`` mirror is pinned
-      past any horizon, so padding can never look viable);
-    * ``maxdeg`` -- the widest row (0 for degenerate tables).
+    * ``cand_pad`` -- ``(num_keys, maxdeg) int32`` (CSR values are
+      int32 channel ids); row ``k`` holds the output-channel candidates
+      of CSR key ``k``, padded with the dummy channel id
+      ``len(sim.ch_kind)`` (whose ``busy`` mirror is pinned past any
+      horizon, so padding can never look viable);
+    * ``maxdeg`` -- the widest row (:func:`padded_width`).
 
-    Cached on the simulator, next to the CSR table itself.
+    With ``out`` -- a ``(num_keys, width)`` array, ``width >= maxdeg``,
+    typically a row slice of a larger matrix -- the rows are written
+    into it in place (padding included) and ``out`` is returned as
+    ``cand_pad``, so a caller that needs extra rows or columns holds a
+    single matrix.  Not cached: each engine builds it once per run.
     """
-    cached = getattr(sim, "_vec_pad", None)
-    if cached is not None:
-        return cached
     from ..simulation.fastpath import build_candidate_table
 
     table = build_candidate_table(sim)
     lens = np.diff(table.offsets)
     n_keys = len(table.flags)
-    maxdeg = int(lens.max()) if n_keys and len(table.values) else 0
+    maxdeg = padded_width(table)
     dummy = len(sim.ch_kind)
-    cand_pad = np.full((n_keys, maxdeg), dummy, dtype=np.int64)
+    if out is None:
+        out = np.full((n_keys, maxdeg), dummy, dtype=np.int32)
+    else:
+        out[...] = dummy
     if maxdeg:
         # Row-major order of the mask's True cells is the CSR order.
-        cand_pad[np.arange(maxdeg) < lens[:, None]] = table.values
-    sim._vec_pad = (cand_pad, maxdeg)
-    return sim._vec_pad
+        out[np.arange(out.shape[1]) < lens[:, None]] = table.values
+    return out, maxdeg
 
 
 def run_vectorized(sim) -> SimResult:

@@ -112,7 +112,7 @@ class CsrTable:
         return self.values[self.offsets[key]:self.offsets[key + 1]]
 
     def to_lists(self) -> list:
-        """Per-key Python lists for the interpreter-bound hot loop.
+        """Per-key Python lists for the exact engines' hot loops.
 
         Returns one entry per key: the candidate list for ROUTE and
         DELIVER keys, ``None`` for UNROUTABLE ones (the engine replays
@@ -120,8 +120,11 @@ class CsrTable:
         raises the exact same :class:`~repro.routing.updown
         .RoutingError` the reference engine would).  Scalar-indexing
         numpy arrays from Python is slower than list indexing, so the
-        run loop works off this mirror while the arrays stay the
-        canonical, testable representation.
+        exact run loops work off this mirror while the arrays stay the
+        canonical, testable representation.  The mirror is large (an int
+        object and a pointer per candidate, plus a list per key), so the
+        relaxed engine never builds it: it reads ``flags`` as one byte
+        per key and gathers candidates from a padded int32 matrix.
         """
         offsets = self.offsets.tolist()
         values = self.values.tolist()

@@ -1,0 +1,275 @@
+"""Bit-for-bit pins of the relaxed counter-RNG engine.
+
+The statistical suite (``test_relaxed_rng_equivalence.py``) and the
+bench consistency checks only hold the relaxed engine to bands.  These
+pins hold it to its own history: every case below must reproduce the
+recorded :meth:`SimResult.core_dict` exactly, so a change to how the
+engine lays out its tables or state cannot move a single draw unnoticed.
+
+Each case covers one branch of the engine: the inlined uniform-class
+exposure, Valiant's via phase, a direct network's per-hop classes,
+pruned routing tables that drop packets as unroutable, keyed traffic
+destinations, multi-round arbitration, and a flow workload with the
+tracker and metrics observers attached.
+
+Regenerate only on an intentional change to the relaxed engine's
+semantics, and say so in the change log::
+
+    for name, build in CASES.items():
+        print(name, run_case(build))
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core.rfc import rfc_with_updown
+from repro.obs.hooks import MetricsObserver, MultiObserver
+from repro.simulation.config import SimulationParams
+from repro.simulation.engine import Simulator
+from repro.simulation.traffic import make_traffic
+from repro.topologies.rrn import random_regular_network
+from repro.workloads.flows import make_workload
+from repro.workloads.runner import nominal_load
+from repro.workloads.tracker import FlowTracker
+
+
+def _params(**overrides) -> SimulationParams:
+    return SimulationParams(
+        measure_cycles=300,
+        warmup_cycles=100,
+        seed=3,
+        rng_mode="relaxed",
+        **overrides,
+    )
+
+
+def _rfc():
+    topo, _attempts = rfc_with_updown(8, 16, 3, rng=7)
+    return topo
+
+
+def _faulted_links(topo):
+    """40 of the RFC's 128 links: enough to make some leaf pairs
+    unroutable, so generated packets are dropped at injection."""
+    return random.Random(1).sample(topo.links(), 40)
+
+
+def uniform_rfc():
+    topo = _rfc()
+    traffic = make_traffic("uniform", topo.num_terminals)
+    return Simulator(topo, traffic, 0.6, _params()), None
+
+
+def valiant_rfc():
+    topo = _rfc()
+    traffic = make_traffic("uniform", topo.num_terminals)
+    return Simulator(topo, traffic, 0.5, _params(valiant=True)), None
+
+
+def direct_rrn():
+    topo = random_regular_network(16, 4, 2, rng=5)
+    traffic = make_traffic("uniform", topo.num_terminals)
+    return Simulator(topo, traffic, 0.5, _params()), None
+
+
+def faulted_rfc():
+    topo = _rfc()
+    traffic = make_traffic("uniform", topo.num_terminals)
+    sim = Simulator(topo, traffic, 0.6, _params(), _faulted_links(topo))
+    return sim, None
+
+
+def faulted_valiant_rfc():
+    topo = _rfc()
+    traffic = make_traffic("uniform", topo.num_terminals)
+    params = _params(valiant=True)
+    return Simulator(topo, traffic, 0.5, params, _faulted_links(topo)), None
+
+
+def fixed_random_two_rounds():
+    topo = _rfc()
+    traffic = make_traffic("fixed-random", topo.num_terminals, rng=11)
+    params = _params(arbitration_iterations=2)
+    return Simulator(topo, traffic, 0.7, params), None
+
+
+def rpc_flows_tracked():
+    topo = _rfc()
+    params = _params()
+    workload = make_workload(
+        "rpc",
+        topo.num_terminals,
+        seed=3,
+        load=0.5,
+        rpc_size=4,
+        duration=params.horizon,
+    )
+    tracker = FlowTracker(workload.flow_schedule)
+    observer = MultiObserver([MetricsObserver(), tracker])
+    offered = nominal_load(workload, params)
+    sim = Simulator(topo, workload, offered, params, observer=observer)
+    return sim, tracker
+
+
+CASES = {
+    "uniform_rfc": uniform_rfc,
+    "valiant_rfc": valiant_rfc,
+    "direct_rrn": direct_rrn,
+    "faulted_rfc": faulted_rfc,
+    "faulted_valiant_rfc": faulted_valiant_rfc,
+    "fixed_random_two_rounds": fixed_random_two_rounds,
+    "rpc_flows_tracked": rpc_flows_tracked,
+}
+
+
+def run_case(build) -> dict:
+    """``core_dict()`` of one run, plus the flow summary when tracked."""
+    sim, tracker = build()
+    pin = sim.run().core_dict()
+    if tracker is not None:
+        pin["flow_stats"] = tracker.summary(sim.params.packet_phits)
+    return pin
+
+
+#: Recorded from the relaxed engine before its route tables moved to
+#: the CSR arrays (no per-key list mirror, one int32 candidate matrix).
+PINS: dict[str, dict] = {
+    "direct_rrn": {
+        "accepted_load": 0.505,
+        "avg_hops": 1.933993399339934,
+        "avg_latency": 48.976897689768975,
+        "delivered_packets": 374,
+        "generated_packets": 408,
+        "max_latency": 153,
+        "measured_packets": 303,
+        "offered_load": 0.5,
+        "p50_latency": 42.0,
+        "p99_latency": 124.0,
+        "topology": "RRN(N=16, delta=4, hosts=2)",
+        "traffic": "uniform",
+        "unroutable_packets": 0
+    },
+    "faulted_rfc": {
+        "accepted_load": 0.4125,
+        "avg_hops": 2.8646464646464644,
+        "avg_latency": 65.51515151515152,
+        "delivered_packets": 634,
+        "generated_packets": 958,
+        "max_latency": 317,
+        "measured_packets": 495,
+        "offered_load": 0.6,
+        "p50_latency": 53.0,
+        "p99_latency": 255.0,
+        "topology": "RFC(R=8, N1=16, l=3)",
+        "traffic": "uniform",
+        "unroutable_packets": 131
+    },
+    "faulted_valiant_rfc": {
+        "accepted_load": 0.22,
+        "avg_hops": 5.681818181818182,
+        "avg_latency": 114.50378787878788,
+        "delivered_packets": 335,
+        "generated_packets": 788,
+        "max_latency": 370,
+        "measured_packets": 264,
+        "offered_load": 0.5,
+        "p50_latency": 100.0,
+        "p99_latency": 293.0,
+        "topology": "RFC(R=8, N1=16, l=3)",
+        "traffic": "uniform",
+        "unroutable_packets": 111
+    },
+    "fixed_random_two_rounds": {
+        "accepted_load": 0.42916666666666664,
+        "avg_hops": 2.675728155339806,
+        "avg_latency": 78.11456310679611,
+        "delivered_packets": 679,
+        "generated_packets": 1099,
+        "max_latency": 352,
+        "measured_packets": 515,
+        "offered_load": 0.7,
+        "p50_latency": 57.0,
+        "p99_latency": 267.0,
+        "topology": "RFC(R=8, N1=16, l=3)",
+        "traffic": "fixed-random",
+        "unroutable_packets": 0
+    },
+    "rpc_flows_tracked": {
+        "accepted_load": 0.4008333333333333,
+        "avg_hops": 2.8523908523908523,
+        "avg_latency": 80.29521829521829,
+        "delivered_packets": 585,
+        "flow_stats": {
+            "fct_max": 304.0,
+            "fct_mean": 110.904,
+            "fct_p50": 99.0,
+            "fct_p99": 230.0,
+            "fct_p999": 240.0,
+            "flows_completed": 125,
+            "flows_dropped": 0,
+            "flows_total": 196,
+            "packets": 500,
+            "slowdown_mean": 1.732875,
+            "slowdown_p50": 1.546875,
+            "slowdown_p99": 3.59375
+        },
+        "generated_packets": 784,
+        "max_latency": 256,
+        "measured_packets": 481,
+        "offered_load": 0.5,
+        "p50_latency": 69.0,
+        "p99_latency": 214.0,
+        "topology": "RFC(R=8, N1=16, l=3)",
+        "traffic": "flows:rpc",
+        "unroutable_packets": 0
+    },
+    "uniform_rfc": {
+        "accepted_load": 0.56,
+        "avg_hops": 2.607142857142857,
+        "avg_latency": 51.27529761904762,
+        "delivered_packets": 864,
+        "generated_packets": 958,
+        "max_latency": 241,
+        "measured_packets": 672,
+        "offered_load": 0.6,
+        "p50_latency": 46.0,
+        "p99_latency": 134.0,
+        "topology": "RFC(R=8, N1=16, l=3)",
+        "traffic": "uniform",
+        "unroutable_packets": 0
+    },
+    "valiant_rfc": {
+        "accepted_load": 0.37666666666666665,
+        "avg_hops": 5.185840707964601,
+        "avg_latency": 92.39823008849558,
+        "delivered_packets": 566,
+        "generated_packets": 788,
+        "max_latency": 324,
+        "measured_packets": 452,
+        "offered_load": 0.5,
+        "p50_latency": 79.0,
+        "p99_latency": 273.0,
+        "topology": "RFC(R=8, N1=16, l=3)",
+        "traffic": "uniform",
+        "unroutable_packets": 0
+    }
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_relaxed_run_matches_pin(name):
+    assert run_case(CASES[name]) == PINS[name]
+
+
+def test_faulted_pins_drop_unroutable_packets():
+    """The faulted cases really exercise the UNROUTABLE branch."""
+    assert PINS["faulted_rfc"]["unroutable_packets"] > 0
+    assert PINS["faulted_valiant_rfc"]["unroutable_packets"] > 0
+    assert all(
+        PINS[name]["unroutable_packets"] == 0
+        for name in CASES
+        if not name.startswith("faulted")
+    )
