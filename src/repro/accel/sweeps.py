@@ -13,7 +13,7 @@ and of the ``U_j`` table construction in
 
 Each stage's edges are laid out flat once (:class:`StageSweeper`), with
 both groupings precomputed, so a sweep is one gather plus one
-``reduceat`` per stage.  Two layout decisions carry the performance:
+``reduceat`` per stage.  Three layout decisions carry the performance:
 
 * mask arrays are held **transposed** -- ``(W, N)`` words-by-switches
   -- because ``np.bitwise_or.reduceat`` along the last (contiguous)
@@ -23,7 +23,15 @@ both groupings precomputed, so a sweep is one gather plus one
   column**, and pruned edges are redirected there by index instead of
   zeroing their gathered rows -- zero is the OR identity, so a masked
   edge contributes nothing, and the mask costs one ``np.where`` over
-  edge indices rather than a scatter write into the gather buffer.
+  edge indices rather than a scatter write into the gather buffer;
+* the coverage queries run **one block of mask words at a time** --
+  word ``w`` of every mask depends only on leaves ``64w .. 64w + 63``,
+  so the whole up-then-down sweep splits by words.  Blocks are sized so
+  that one ``(words x edges)`` gather stays under a fixed byte budget
+  (the full gather is 64 MiB per stage at 131k terminals, 4 GiB at 1M),
+  the masked edge indices are built once per query and shared by every
+  block, and :meth:`StageSweeper.has_updown` stops at the first block
+  that misses a leaf pair.
 
 Fault analyses therefore pass per-stage boolean *keep* masks instead
 of rebuilding pruned stage lists, which is what makes
@@ -35,7 +43,7 @@ by :mod:`repro.accel.bitset`.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -46,12 +54,23 @@ __all__ = ["StageSweeper", "IncrementalSweeper"]
 
 StageAdjacency = Sequence[Sequence[Sequence[int]]]
 
+#: Upper bound, in bytes, on one ``(block words x stage edges)`` gather
+#: of a blocked coverage sweep.
+_BLOCK_BYTES = 8 << 20
 
-def _singletons_t(n: int) -> NDArray[np.uint64]:
-    """Transposed singleton masks: ``(W, n + 1)`` with a null column."""
-    out = np.zeros((words_for(n), n + 1), dtype=np.uint64)
-    idx = np.arange(n, dtype=np.intp)
-    out[idx >> 6, idx] = np.uint64(1) << (idx & 63).astype(np.uint64)
+
+def _singletons_t(
+    n: int, lo: int = 0, hi: int | None = None
+) -> NDArray[np.uint64]:
+    """Transposed singleton masks, words ``lo:hi``: ``(hi - lo, n + 1)``.
+
+    The trailing column is the null column; leaves outside the words'
+    bit range have all-zero columns.
+    """
+    hi = words_for(n) if hi is None else hi
+    out = np.zeros((hi - lo, n + 1), dtype=np.uint64)
+    idx = np.arange(lo * 64, min(n, hi * 64), dtype=np.intp)
+    out[(idx >> 6) - lo, idx] = np.uint64(1) << (idx & 63).astype(np.uint64)
     return out
 
 
@@ -128,12 +147,22 @@ class _StageEdges:
         self.down_rows = np.nonzero(dst_counts)[0]
         self.down_starts = self.down_offsets[self.down_rows]
 
+    def up_index(self, keep: NDArray[np.bool_] | None) -> NDArray[np.intp]:
+        """Gather index of :meth:`or_up`; pruned edges hit the null column."""
+        if keep is None:
+            return self.down_src
+        return np.where(keep[self.down_perm], self.down_src, self.n_lo)
+
+    def down_index(self, keep: NDArray[np.bool_] | None) -> NDArray[np.intp]:
+        """Gather index of :meth:`or_down`; pruned edges hit the null column."""
+        if keep is None:
+            return self.dst
+        return np.where(keep, self.dst, self.n_hi)
+
     def _reduce(
         self,
         masks_t: NDArray[np.uint64],
         idx: NDArray[np.intp],
-        null: int,
-        keep: NDArray[np.bool_] | None,
         starts: NDArray[np.intp],
         rows: NDArray[np.intp],
         n_out: int,
@@ -141,8 +170,6 @@ class _StageEdges:
         out = np.zeros((masks_t.shape[0], n_out + 1), dtype=np.uint64)
         if rows.size == 0:
             return out
-        if keep is not None:
-            idx = np.where(keep, idx, null)
         gathered = np.take(masks_t, idx, axis=1)
         out[:, rows] = np.bitwise_or.reduceat(gathered, starts, axis=1)
         return out
@@ -150,14 +177,15 @@ class _StageEdges:
     def or_up(
         self,
         lower_t: NDArray[np.uint64],
-        keep: NDArray[np.bool_] | None,
+        idx: NDArray[np.intp] | None = None,
     ) -> NDArray[np.uint64]:
-        """``out[t] = OR lower[s]`` over surviving edges ``s -> t``."""
+        """``out[t] = OR lower[s]`` over edges ``s -> t``.
+
+        ``idx`` comes from :meth:`up_index`; ``None`` keeps every edge.
+        """
         return self._reduce(
             lower_t,
-            self.down_src,
-            self.n_lo,
-            keep[self.down_perm] if keep is not None else None,
+            self.down_src if idx is None else idx,
             self.down_starts,
             self.down_rows,
             self.n_hi,
@@ -166,12 +194,18 @@ class _StageEdges:
     def or_down(
         self,
         upper_t: NDArray[np.uint64],
-        keep: NDArray[np.bool_] | None,
+        idx: NDArray[np.intp] | None = None,
     ) -> NDArray[np.uint64]:
-        """``out[s] = OR upper[t]`` over surviving edges ``s -> t``."""
+        """``out[s] = OR upper[t]`` over edges ``s -> t``.
+
+        ``idx`` comes from :meth:`down_index`; ``None`` keeps every edge.
+        """
         return self._reduce(
-            upper_t, self.dst, self.n_hi, keep,
-            self.up_starts, self.up_rows, self.n_lo,
+            upper_t,
+            self.dst if idx is None else idx,
+            self.up_starts,
+            self.up_rows,
+            self.n_lo,
         )
 
     def or_up_rows(
@@ -269,17 +303,36 @@ class StageSweeper:
         masks = [_singletons_t(self.n1)]
         for i, stage in enumerate(self.stages):
             keep = keep_masks[i] if keep_masks is not None else None
-            masks.append(stage.or_up(masks[i], keep))
+            masks.append(stage.or_up(masks[i], stage.up_index(keep)))
         return masks
 
-    def _cover_t(
+    def _cover_blocks(
         self, keep_masks: Sequence[NDArray[np.bool_]] | None
-    ) -> NDArray[np.uint64]:
-        cover = self._descend_t(keep_masks)[-1]
-        for i in range(len(self.stages) - 1, -1, -1):
-            keep = keep_masks[i] if keep_masks is not None else None
-            cover = self.stages[i].or_down(cover, keep)
-        return cover | _singletons_t(self.n1)
+    ) -> Iterator[tuple[int, NDArray[np.uint64]]]:
+        """``(first_word, cover_t)`` per block of mask words, in order.
+
+        ``cover_t`` holds words ``first_word : first_word + len(cover_t)``
+        of every leaf's coverage (own bit included), transposed, with the
+        null column.  Each block runs the full up-then-down sweep over
+        only its leaves' bits, so the largest transient is one gather of
+        at most :data:`_BLOCK_BYTES`.
+        """
+        keeps: Sequence[NDArray[np.bool_] | None] = (
+            keep_masks if keep_masks is not None else [None] * len(self.stages)
+        )
+        up = [stage.up_index(k) for stage, k in zip(self.stages, keeps)]
+        down = [stage.down_index(k) for stage, k in zip(self.stages, keeps)]
+        width = words_for(self.n1)
+        edges = max((stage.dst.size for stage in self.stages), default=0)
+        step = max(1, _BLOCK_BYTES // (8 * max(edges, 1)))
+        for lo in range(0, width, step):
+            leaves = _singletons_t(self.n1, lo, min(width, lo + step))
+            masks = leaves
+            for stage, idx in zip(self.stages, up):
+                masks = stage.or_up(masks, idx)
+            for stage, idx in zip(reversed(self.stages), reversed(down)):
+                masks = stage.or_down(masks, idx)
+            yield lo, masks | leaves
 
     # ------------------------------------------------------------------
     # Public sweeps (natural ``(N, W)`` layout)
@@ -294,16 +347,25 @@ class StageSweeper:
         self, keep_masks: Sequence[NDArray[np.bool_]] | None = None
     ) -> NDArray[np.uint64]:
         """Per-leaf packed up*/down* coverage (own bit included)."""
-        return _natural(self._cover_t(keep_masks))
+        out = np.empty((self.n1, words_for(self.n1)), dtype=np.uint64)
+        for lo, cover in self._cover_blocks(keep_masks):
+            out[:, lo : lo + len(cover)] = cover[:, :-1].T
+        return out
 
     def has_updown(
         self, keep_masks: Sequence[NDArray[np.bool_]] | None = None
     ) -> bool:
-        """Whether every leaf pair keeps a common ancestor."""
+        """Whether every leaf pair keeps a common ancestor.
+
+        Stops at the first block of mask words that misses a pair.
+        """
         if self.n1 == 0:
             return True
-        cover = self._cover_t(keep_masks)
-        return bool(np.all(cover[:, :-1] == full_row(self.n1)[:, None]))
+        full = full_row(self.n1)[:, None]
+        return all(
+            np.all(cover[:, :-1] == full[lo : lo + len(cover)])
+            for lo, cover in self._cover_blocks(keep_masks)
+        )
 
     def reachable_fraction(
         self, keep_masks: Sequence[NDArray[np.bool_]] | None = None
@@ -311,15 +373,17 @@ class StageSweeper:
         """Fraction of ordered leaf pairs joined by an up*/down* path."""
         if self.n1 < 2:
             return 1.0
-        cover = self._cover_t(keep_masks)
-        covered = int(popcount(cover).sum()) - self.n1
-        return covered / (self.n1 * (self.n1 - 1))
+        covered = sum(
+            int(popcount(cover).sum())
+            for _, cover in self._cover_blocks(keep_masks)
+        )
+        return (covered - self.n1) / (self.n1 * (self.n1 - 1))
 
     def root_ancestor_masks(self) -> NDArray[np.uint64]:
         """Per-leaf packed set of reachable root switches."""
         masks = _singletons_t(self.level_sizes[-1])
         for stage in reversed(self.stages):
-            masks = stage.or_down(masks, None)
+            masks = stage.or_down(masks)
         return _natural(masks)
 
     # ------------------------------------------------------------------
@@ -342,7 +406,7 @@ class StageSweeper:
         for j in range(1, levels):
             for level in range(levels - j):
                 tables_t[level].append(
-                    self.stages[level].or_down(tables_t[level + 1][j - 1], None)
+                    self.stages[level].or_down(tables_t[level + 1][j - 1])
                 )
         return [[_natural(t) for t in per_level] for per_level in tables_t]
 
@@ -498,7 +562,7 @@ class IncrementalSweeper:
         if self._cover_cache is None:
             cover = self._descend_t[-1]
             for stage in reversed(self._sweeper.stages):
-                cover = stage.or_down(cover, None)
+                cover = stage.or_down(cover)
             self._cover_cache = cover | _singletons_t(self.n1)
         return self._cover_cache
 

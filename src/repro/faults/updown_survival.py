@@ -70,6 +70,10 @@ def pruned_stages(
     return stages
 
 
+def _foreign_link(link: Link) -> ValueError:
+    return ValueError(f"failure order holds {link}, not a link of the topology")
+
+
 def _stage_failure_positions(
     topo: FoldedClos,
     sweeper: "_accel.StageSweeper",
@@ -79,27 +83,36 @@ def _stage_failure_positions(
 
     Maps the flat :class:`Link` failure order onto the sweeper's
     per-stage edge arrays once, so each binary-search probe afterwards
-    is a single vectorized position comparison.
+    is a single vectorized position comparison.  A link listed twice
+    fails at its first position.  Raises :class:`ValueError` naming the
+    first link of ``order`` that is not a link of ``topo``.
     """
     import numpy as np
 
-    first_position: dict[tuple[int, int], int] = {}
-    for position, link in enumerate(order):
-        first_position.setdefault((link.lo, link.hi), position)
     never = len(order)
+    n = topo.num_switches
+    lo = np.fromiter((link.lo for link in order), dtype=np.int64, count=never)
+    hi = np.fromiter((link.hi for link in order), dtype=np.int64, count=never)
+    # Out-of-range ids get key -1, which no stage edge has.
+    link_keys = np.where((lo >= 0) & (hi < n), lo * n + hi, -1)
+    # return_index sorts stably, so ``first`` is each key's first position.
+    keys, first = np.unique(link_keys, return_index=True)
+    # Sentinel above every edge key: searchsorted always lands in range.
+    keys = np.append(keys, n * n)
+    first = np.append(first, never)
+    matched = np.zeros(keys.size, dtype=bool)
     positions = []
     for stage, (src, dst) in enumerate(sweeper.edge_keys()):
-        lo_off = topo.switch_id(stage, 0)
-        hi_off = topo.switch_id(stage + 1, 0)
-        lo = (src + lo_off).tolist()
-        hi = (dst + hi_off).tolist()
-        positions.append(
-            np.fromiter(
-                (first_position.get(pair, never) for pair in zip(lo, hi)),
-                dtype=np.int64,
-                count=len(lo),
-            )
+        edge_keys = (src + topo.switch_id(stage, 0)) * n + (
+            dst + topo.switch_id(stage + 1, 0)
         )
+        at = np.searchsorted(keys, edge_keys)
+        found = keys[at] == edge_keys
+        matched[at[found]] = True
+        positions.append(np.where(found, first[at], never))
+    foreign = first[:-1][~matched[:-1]]
+    if foreign.size:
+        raise _foreign_link(order[int(foreign.min())])
     return positions
 
 
@@ -121,6 +134,10 @@ def order_threshold(
     sweep on a masked edge array instead of rebuilding pruned Python
     stage lists.  Thresholds are bit-for-bit identical to the
     reference path (``accel=False``).
+
+    ``order`` may be a prefix of a full failure order; a link of
+    ``order`` that is not a link of ``topo`` raises :class:`ValueError`
+    on both paths.
     """
     sizes = topo.level_sizes
 
@@ -136,6 +153,10 @@ def order_threshold(
             return sweeper.has_updown(keep)
 
     else:
+        known = set(topo.links())
+        for link in order:
+            if link not in known:
+                raise _foreign_link(link)
 
         def still_ok(k: int) -> bool:
             removed = set(order[:k])

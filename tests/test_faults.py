@@ -1,20 +1,27 @@
 """Fault-injection machinery and resiliency metric tests."""
 
 import random
+import re
 
+import numpy as np
 import pytest
 
+from repro.core.ancestors import sweeper_of
+from repro.core.rfc import radix_regular_rfc
 from repro.faults.disconnection import (
     disconnection_fraction,
     disconnection_trial,
 )
 from repro.faults.removal import UnionFind, failure_threshold, shuffled_links
 from repro.faults.updown_survival import (
+    _stage_failure_positions,
+    order_threshold,
     pruned_stages,
     updown_fault_tolerance,
     updown_trial,
 )
 from repro.topologies.base import DirectNetwork, Link
+from repro.topologies.packed import PackedFoldedClos
 
 
 class TestUnionFind:
@@ -139,3 +146,93 @@ class TestUpdownSurvival:
         tol_small = updown_fault_tolerance(small, trials=5, rng=3)
         tol_large = updown_fault_tolerance(large, trials=5, rng=3)
         assert tol_small.mean_fraction > tol_large.mean_fraction
+
+
+def _dict_positions(topo, sweeper, order):
+    """Per-link dict mapping of failure positions (the loop reference)."""
+    first_position = {}
+    for position, link in enumerate(order):
+        first_position.setdefault((link.lo, link.hi), position)
+    never = len(order)
+    positions = []
+    for stage, (src, dst) in enumerate(sweeper.edge_keys()):
+        lo = (src + topo.switch_id(stage, 0)).tolist()
+        hi = (dst + topo.switch_id(stage + 1, 0)).tolist()
+        positions.append(
+            np.array(
+                [first_position.get(pair, never) for pair in zip(lo, hi)],
+                dtype=np.int64,
+            )
+        )
+    return positions
+
+
+@pytest.fixture(scope="module")
+def diff_rfc():
+    """The ``BENCH_graphs.json`` differential topology."""
+    return radix_regular_rfc(16, 512, 3, rng=11)
+
+
+class TestFailurePositions:
+    @pytest.fixture(params=["list", "packed"])
+    def topo(self, request, rfc_medium):
+        if request.param == "packed":
+            return PackedFoldedClos.from_folded(rfc_medium)
+        return rfc_medium
+
+    def _orders(self, topo):
+        order = shuffled_links(topo, rng=4)
+        rand = random.Random(9)
+        doubled = order[:40] + rand.sample(order, 60) + order[40:]
+        return {
+            "full": order,
+            "duplicates": doubled,
+            "truncated": order[: len(order) // 3],
+            "empty": [],
+        }
+
+    def test_matches_dict_mapping(self, topo):
+        sweeper = sweeper_of(topo)
+        for name, order in self._orders(topo).items():
+            fast = _stage_failure_positions(topo, sweeper, order)
+            slow = _dict_positions(topo, sweeper, order)
+            assert len(fast) == len(slow), name
+            for got, want in zip(fast, slow):
+                np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_duplicates_and_truncation_agree_with_reference(self, topo):
+        for name, order in self._orders(topo).items():
+            assert order_threshold(topo, order) == order_threshold(
+                topo, order, accel=False
+            ), name
+
+
+class TestOrderThreshold:
+    def test_bench_differential_threshold(self, diff_rfc):
+        order = shuffled_links(diff_rfc, rng=7)
+        packed = PackedFoldedClos.from_folded(diff_rfc)
+        assert order_threshold(diff_rfc, order) == 105
+        assert order_threshold(packed, order) == 105
+        assert order_threshold(diff_rfc, order, accel=False) == 105
+
+    @pytest.mark.parametrize("accel", [True, False])
+    @pytest.mark.parametrize("kind", ["same-level", "skips-level", "out-of-range"])
+    def test_foreign_link_raises(self, rfc_small, accel, kind):
+        topo = rfc_small
+        foreign = {
+            "same-level": Link(topo.switch_id(0, 0), topo.switch_id(0, 1)),
+            "skips-level": Link(topo.switch_id(0, 0), topo.switch_id(2, 0)),
+            "out-of-range": Link(0, topo.num_switches + 3),
+        }[kind]
+        order = shuffled_links(topo, rng=1)
+        order.insert(7, foreign)
+        order.insert(11, Link(topo.num_switches + 9, topo.num_switches + 10))
+        with pytest.raises(ValueError, match=re.escape(str(foreign))):
+            order_threshold(topo, order, accel=accel)
+
+    @pytest.mark.parametrize("accel", [True, False])
+    def test_truncated_order_still_works(self, rfc_small, accel):
+        order = shuffled_links(rfc_small, rng=2)
+        full = order_threshold(rfc_small, order, accel=accel)
+        assert order_threshold(rfc_small, order[:full], accel=accel) == full
+        assert order_threshold(rfc_small, order[: full + 1], accel=accel) == full
