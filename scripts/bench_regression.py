@@ -6,8 +6,7 @@ two-engine contract (the accelerated path must reproduce the reference
 exactly; the script fails on any signature drift):
 
 * **engine** -- the cycle-level simulator's reference engine against
-  the precomputed-route fast path, the vectorized SoA engine and the
-  relaxed counter-RNG engine (statistically equivalent, not
+  the precomputed-route fast path and the relaxed counter-RNG engine (statistically equivalent, not
   bit-for-bit; gated by ``--min-relaxed-speedup``), plus the
   observability overhead of the metrics / metrics+trace observers
   (``BENCH_engine.json``);
@@ -19,7 +18,7 @@ exactly; the script fails on any signature drift):
 
     PYTHONPATH=src python scripts/bench_regression.py [--out PATH]
         [--graphs-out PATH] [--repeats N] [--quick]
-        [--min-vectorized-speedup X]
+        [--min-fast-speedup X] [--min-relaxed-speedup X]
 
 The workload numbers are deterministic (fixed seeds); the timings are
 hardware-dependent, so compare ratios on one machine, not absolute
@@ -67,13 +66,13 @@ def bench(repeats: int, quick: bool) -> dict:
     )
     load = 0.7
 
-    # Reference vs fast path vs vectorized vs relaxed, bare runs.
+    # Reference vs fast path vs relaxed, bare runs.
     # Identical signatures are a hard requirement for the exact
     # engines -- their contract is bit-for-bit.  The relaxed engine
     # draws from a different (counter-based) RNG, so it is held to
     # repeat determinism plus a throughput-plausibility band instead.
     engines: dict[str, dict] = {}
-    for engine in ("reference", "fast", "vectorized", "relaxed"):
+    for engine in ("reference", "fast", "relaxed"):
         if engine == "relaxed":
             eng_params = params.scaled(rng_mode="relaxed")
         else:
@@ -97,14 +96,13 @@ def bench(repeats: int, quick: bool) -> dict:
             "wall_seconds": round(elapsed, 4),
             "cycles_per_sec": round(cycles / elapsed, 1),
         }
-    for engine in ("fast", "vectorized"):
-        if engines[engine]["signature"] != engines["reference"]["signature"]:
-            raise AssertionError(
-                f"{engine} engine drifted from the reference engine: "
-                f"{engines['reference']['signature']} != "
-                f"{engines[engine]['signature']}"
-            )
-    for engine in ("fast", "vectorized", "relaxed"):
+    if engines["fast"]["signature"] != engines["reference"]["signature"]:
+        raise AssertionError(
+            "fast engine drifted from the reference engine: "
+            f"{engines['reference']['signature']} != "
+            f"{engines['fast']['signature']}"
+        )
+    for engine in ("fast", "relaxed"):
         engines[engine]["speedup_vs_reference"] = round(
             engines[engine]["cycles_per_sec"]
             / engines["reference"]["cycles_per_sec"],
@@ -137,7 +135,7 @@ def bench(repeats: int, quick: bool) -> dict:
     wl_duration = wl_params.horizon // 2
     workloads: dict[str, dict] = {}
     exact_stream = None
-    for engine in ("reference", "fast", "vectorized", "relaxed"):
+    for engine in ("reference", "fast", "relaxed"):
         if engine == "relaxed":
             eng_params = wl_params.scaled(rng_mode="relaxed")
         else:
@@ -180,7 +178,7 @@ def bench(repeats: int, quick: bool) -> dict:
             "wall_seconds": round(elapsed, 4),
             "flows_per_sec": round(flows_done / elapsed, 1),
         }
-    for engine in ("fast", "vectorized", "relaxed"):
+    for engine in ("fast", "relaxed"):
         workloads[engine]["speedup_vs_reference"] = round(
             workloads[engine]["flows_per_sec"]
             / workloads["reference"]["flows_per_sec"],
@@ -538,8 +536,8 @@ def main(argv: list[str] | None = None) -> int:
              "exceed this many seconds (0 disables the gate)",
     )
     parser.add_argument(
-        "--min-vectorized-speedup", type=float, default=0.0,
-        help="fail unless the vectorized engine beats the reference "
+        "--min-fast-speedup", type=float, default=0.0,
+        help="fail unless the fast engine beats the reference "
              "by at least this ratio (0 disables the gate)",
     )
     parser.add_argument(
@@ -557,23 +555,22 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
     engines = payload["engines"]
-    for engine in ("fast", "vectorized"):
-        print(f"{engine}: {engines[engine]['cycles_per_sec']:,.0f} "
-              f"cycles/sec vs reference "
-              f"{engines['reference']['cycles_per_sec']:,.0f} "
-              f"({engines[engine]['speedup_vs_reference']}x speedup, "
-              f"identical signatures)")
+    print(f"fast: {engines['fast']['cycles_per_sec']:,.0f} "
+          f"cycles/sec vs reference "
+          f"{engines['reference']['cycles_per_sec']:,.0f} "
+          f"({engines['fast']['speedup_vs_reference']}x speedup, "
+          f"identical signatures)")
     print(f"relaxed: {engines['relaxed']['cycles_per_sec']:,.0f} "
           f"cycles/sec vs reference "
           f"{engines['reference']['cycles_per_sec']:,.0f} "
           f"({engines['relaxed']['speedup_vs_reference']}x speedup, "
           f"statistically equivalent -- not bit-for-bit)")
-    if args.min_vectorized_speedup > 0:
-        measured = engines["vectorized"]["speedup_vs_reference"]
-        if measured < args.min_vectorized_speedup:
+    if args.min_fast_speedup > 0:
+        measured = engines["fast"]["speedup_vs_reference"]
+        if measured < args.min_fast_speedup:
             raise AssertionError(
-                f"vectorized speedup {measured}x below the required "
-                f"floor {args.min_vectorized_speedup}x"
+                f"fast speedup {measured}x below the required "
+                f"floor {args.min_fast_speedup}x"
             )
     if args.min_relaxed_speedup > 0:
         measured = engines["relaxed"]["speedup_vs_reference"]
@@ -586,7 +583,7 @@ def main(argv: list[str] | None = None) -> int:
     print("workloads (incast): "
           + ", ".join(
               f"{name} {wl_engines[name]['flows_per_sec']:,.0f} flows/sec"
-              for name in ("reference", "fast", "vectorized", "relaxed")
+              for name in ("reference", "fast", "relaxed")
           ))
     bare = payload["modes"]["bare"]
     print(f"engine: {bare['cycles_per_sec']:,.0f} cycles/sec bare, "

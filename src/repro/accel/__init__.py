@@ -53,7 +53,6 @@ __all__ = [
     "masks_to_ints",
     "ints_to_masks",
     "popcount",
-    "run_vectorized",
     "build_padded_candidates",
     "run_relaxed",
     "build_relaxed_candidates",
@@ -92,7 +91,11 @@ if AVAILABLE:
         words_for,
     )
     from .csr import CsrAdjacency, gather_min, gather_or
-    from .relaxed import build_relaxed_candidates, run_relaxed
+    from .relaxed import (
+        build_padded_candidates,
+        build_relaxed_candidates,
+        run_relaxed,
+    )
     from .rng import (
         KeyedStream,
         counter_key,
@@ -110,7 +113,6 @@ if AVAILABLE:
         random_bipartite_csr,
         random_regular_csr,
     )
-    from .sim import build_padded_candidates, run_vectorized
     from .sweeps import IncrementalSweeper, StageSweeper
 
 

@@ -1,20 +1,21 @@
 """Relaxed-RNG cycle engine: fully batched arbitration.
 
-Fourth engine of the simulator, selected by
-``SimulationParams(rng_mode="relaxed")``.  The three exact engines are
-bit-for-bit identical to each other because they consume one shared
-sequential ``random.Random`` stream in event order -- which is also
-why they cap near fast-path parity: every arbitration draw depends on
-every draw before it, so random decisions cannot batch
-(docs/PERFORMANCE.md).  This engine drops stream equality.  Every
-random decision becomes a pure function of ``(seed, packet_id, cycle,
-draw_site)`` through the counter-based generator in
+Third engine of the simulator, selected by
+``SimulationParams(rng_mode="relaxed")``.  The two exact engines
+(reference and fast) are bit-for-bit identical to each other because
+they consume one shared sequential ``random.Random`` stream in event
+order -- which is also why they cap near fast-path parity: every
+arbitration draw depends on every draw before it, so random decisions
+cannot batch (docs/PERFORMANCE.md).  This engine drops stream
+equality.  Every random decision becomes a pure function of ``(seed,
+packet_id, cycle, draw_site)`` through the counter-based generator in
 :mod:`repro.accel.rng`, draws decouple, and the whole per-cycle
 request/grant phase collapses into a handful of numpy passes:
 
 * **request** -- one gather of every ready head's candidate row
-  against the fused ``(class, channel)`` gate vector (same
-  representation as the vectorized engine), then one keyed draw per
+  against the fused ``(class, channel)`` gate vector (the channel's
+  busy-until time while the class has downstream credit,
+  ``EMPTY_READY`` while it does not), then one keyed draw per
   head picks among its viable outputs (``randbelow`` by modulo);
 * **grant** -- contenders for the same output race by keyed 64-bit
   priority: a single ``lexsort`` over ``(output, priority)`` and a
@@ -67,6 +68,7 @@ credit comparisons are inherently sequential), enforced at
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -88,12 +90,18 @@ from .rng import (
     mix64_array,
     uniform01_array,
 )
-from .sim import EMPTY_READY, build_padded_candidates, padded_width
 
-__all__ = ["run_relaxed", "build_relaxed_candidates"]
+if TYPE_CHECKING:
+    from ..routing.table import CsrTable
+
+__all__ = ["run_relaxed", "build_relaxed_candidates", "build_padded_candidates"]
 
 # Channel tags, kept in sync with repro.simulation.engine.
 _LINK, _INJECT, _EJECT = 0, 1, 2
+
+#: Sentinel "effective ready time" for a unit with no head packet (and
+#: the never-passes gate of a class with no downstream credit).
+EMPTY_READY = 1 << 60
 
 #: Salts deriving the grant-priority and VC-pick lanes from the
 #: request draw (one extra finalizer application each instead of a
@@ -102,6 +110,48 @@ _GRANT_SALT = np.uint64(0xD1B54A32D192ED03)
 _VC_SALT = np.uint64(0x8CB92BA72F3D8DD7)
 
 _U64 = np.uint64
+
+
+def padded_width(table: CsrTable) -> int:
+    """Widest candidate row of CSR ``table`` (0 for degenerate tables)."""
+    if not len(table.values):
+        return 0
+    return int(np.diff(table.offsets).max())
+
+
+def build_padded_candidates(sim, out=None):
+    """Rectangular candidate matrix for ``sim``'s CSR route table.
+
+    Returns ``(cand_pad, maxdeg)``:
+
+    * ``cand_pad`` -- ``(num_keys, maxdeg) int32`` (CSR values are
+      int32 channel ids); row ``k`` holds the output-channel candidates
+      of CSR key ``k``, padded with the dummy channel id
+      ``len(sim.ch_kind)`` (whose gate is pinned past any horizon, so
+      padding can never look viable);
+    * ``maxdeg`` -- the widest row (:func:`padded_width`).
+
+    With ``out`` -- a ``(num_keys, width)`` array, ``width >= maxdeg``,
+    typically a row slice of a larger matrix -- the rows are written
+    into it in place (padding included) and ``out`` is returned as
+    ``cand_pad``, so a caller that needs extra rows or columns holds a
+    single matrix.  Not cached.
+    """
+    from ..simulation.fastpath import build_candidate_table
+
+    table = build_candidate_table(sim)
+    lens = np.diff(table.offsets)
+    n_keys = len(table.flags)
+    maxdeg = padded_width(table)
+    dummy = len(sim.ch_kind)
+    if out is None:
+        out = np.full((n_keys, maxdeg), dummy, dtype=np.int32)
+    else:
+        out[...] = dummy
+    if maxdeg:
+        # Row-major order of the mask's True cells is the CSR order.
+        out[np.arange(out.shape[1]) < lens[:, None]] = table.values
+    return out, maxdeg
 
 
 def build_relaxed_candidates(sim):
@@ -113,16 +163,13 @@ def build_relaxed_candidates(sim):
     ``n_ch``), row ``n_keys`` is fully blocked (empty units and
     unroutable heads key here so the batched pass can never grant
     them), and row ``n_keys + 1 + dst`` holds destination ``dst``'s
-    single eject channel.  Unlike the vectorized engine -- whose
-    batched phase only *filters* and must keep delivery heads
-    always-viable for the scalar scan -- this engine grants straight
-    from the batch, so eject channels get real viability gates and a
-    real candidate row.
+    single eject channel.  The engine grants straight from the batch,
+    so eject channels get real viability gates and a real candidate
+    row.
 
-    The matrix is allocated once and
-    :func:`~repro.accel.sim.build_padded_candidates` fills its CSR rows
-    in place, so no second padded copy exists.  Cached on the
-    simulator.
+    The matrix is allocated once and :func:`build_padded_candidates`
+    fills its CSR rows in place, so no second padded copy exists.
+    Cached on the simulator.
     """
     cached = getattr(sim, "_relaxed_pad", None)
     if cached is not None:
@@ -187,7 +234,7 @@ def run_relaxed(sim) -> SimResult:
     unroutable_local = 0
     max_injectq = sim.max_inject_queue
 
-    # ---- routing tables (shared with the fast/vectorized engines) ------
+    # ---- routing tables (shared with the fast engine) ------------------
     from ..simulation.fastpath import build_candidate_table
 
     table = build_candidate_table(sim)
@@ -240,9 +287,9 @@ def run_relaxed(sim) -> SimResult:
         class_range = [(0, vcs), (0, half), (half, vcs)]
 
     # ---- struct-of-arrays unit state -----------------------------------
-    # One unit per (channel, vc) input queue, same construction order as
-    # the vectorized engine (grant-apply order follows output-channel
-    # ids, so unit order only has to be deterministic, which it is).
+    # One unit per (channel, vc) input queue, in ``sim.in_units`` order
+    # (grant-apply order follows output-channel ids, so unit order only
+    # has to be deterministic, which it is).
     unit_cid: list[int] = []
     unit_vc: list[int] = []
     unit_queue: list = []

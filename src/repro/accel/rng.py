@@ -2,8 +2,8 @@
 
 The exact engines share one sequential ``random.Random`` stream, so a
 draw's value depends on every draw before it -- the property that
-serializes arbitration (docs/PERFORMANCE.md) and caps the vectorized
-engine near fast-path parity.  This module replaces the stream with a
+serializes arbitration (docs/PERFORMANCE.md) and keeps the exact
+engines from batching random decisions.  This module replaces the stream with a
 **stateless keyed hash**: every draw is a pure function of
 
 ``(seed, packet_id, cycle, draw_site)``

@@ -80,12 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--warmup", type=int, default=500)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--engine",
-                     choices=["fast", "reference", "vectorized"],
+                     choices=["fast", "reference"],
                      default="fast",
-                     help="cycle-level engine: 'fast' (precomputed-route "
-                          "fast path, default), 'vectorized' "
-                          "(struct-of-arrays state with batched "
-                          "candidate gathering) or 'reference' (the "
+                     help="exact engine: 'fast' (precomputed-route "
+                          "fast path, default) or 'reference' (the "
                           "oracle); results are bit-for-bit identical")
     sim.add_argument("--rng-mode",
                      choices=["exact", "relaxed"],
@@ -131,10 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     wl.add_argument("--rpc-size", type=int, default=4,
                     help="packets per rpc/incast flow")
     wl.add_argument("--engine",
-                    choices=["fast", "reference", "vectorized"],
+                    choices=["fast", "reference"],
                     default="fast",
                     help="exact engine; the flow_complete stream is "
-                         "bit-for-bit identical across all three")
+                         "bit-for-bit identical across both")
     wl.add_argument("--rng-mode", choices=["exact", "relaxed"],
                     default="exact",
                     help="'relaxed': counter-RNG batched engine, "
@@ -369,7 +367,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         # Relaxed mode has exactly one engine; the selection knob only
         # applies to the exact engines.
-        engine="" if relaxed else args.engine,
+        engine="fast" if relaxed else args.engine,
         rng_mode="relaxed" if relaxed else "exact",
     )
     traffic = make_traffic(args.traffic, topo.num_terminals,
@@ -434,7 +432,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         measure_cycles=args.cycles,
         warmup_cycles=args.warmup,
         seed=args.seed,
-        engine="" if relaxed else args.engine,
+        engine="fast" if relaxed else args.engine,
         rng_mode="relaxed" if relaxed else "exact",
     )
     workload = make_workload(

@@ -90,8 +90,8 @@ def cache_key(
     """
     params_payload = dataclasses.asdict(params)
     # Engine selection produces identical results by contract, so it
-    # must not (and does not) influence the digest: caches written
-    # before the fast path (or the vectorized engine) existed keep
+    # must not (and does not) influence the digest: caches written by
+    # either exact engine, or before an engine knob existed, keep
     # hitting.  The excluded set is declared next to the dataclass
     # (and cross-checked by lint passes RPR101/RPR105), not hand-rolled
     # here; ``rng_mode`` is NOT in that set, so relaxed-mode results

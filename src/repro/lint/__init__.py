@@ -40,7 +40,7 @@ checkers runs once over the resolved import/call graph
 code      invariant
 ========  ==========================================================
 RPR101    every ``SimulationParams``/``SimResult`` field consumed by
-          all three engines and covered by an explicit cache-key
+          both exact engines and covered by an explicit cache-key
           policy
 RPR102    numpy integer-width hazards (int32 overflow, uint64/signed
           mixing) in kernel code

@@ -1,12 +1,12 @@
 """RPR101: engine-parity drift and cache-key policy for sim params.
 
-The repo carries three engines that must stay bit-for-bit
-interchangeable (``simulation/engine.py``, ``simulation/fastpath.py``,
-``accel/sim.py``) and a content-addressed result cache whose key folds
+The repo carries two exact engines that must stay bit-for-bit
+interchangeable (``simulation/engine.py``, ``simulation/fastpath.py``)
+and a content-addressed result cache whose key folds
 in :class:`~repro.simulation.config.SimulationParams`.  Both contracts
 break *silently* when a field is added:
 
-* a knob consumed by two engines but not the third makes the
+* a knob consumed by one engine but not the other makes the
   conformance matrix compare two configurations that differ -- the
   differential tests then pass for the wrong reason or fail late;
 * a knob with no explicit cache-key policy either poisons the key
@@ -31,7 +31,7 @@ This pass checks, over the whole program:
 3. **Result coverage** -- every ``SimResult`` field that participates
    in equality must be set by ``from_stats``'s constructor call (or
    carry ``field(compare=False)`` like ``metrics``), so a new output
-   column cannot silently keep its default in all three engines.
+   column cannot silently keep its default in every engine.
 4. **Side-channel stripping** -- every ``SimResult`` field declared
    ``compare=False`` (a side channel like ``metrics``,
    ``latency_hist`` or ``flow_stats``) must be ``pop``-ed by a string
@@ -52,8 +52,8 @@ from ..base import ProjectChecker, register_project
 from ..findings import Finding
 from ..graph import ModuleSummary, ProjectGraph
 
-#: Dotted suffixes of the three engine modules, reference first.
-ENGINE_MODULES = ("simulation.engine", "simulation.fastpath", "accel.sim")
+#: Dotted suffixes of the exact engine modules, reference first.
+ENGINE_MODULES = ("simulation.engine", "simulation.fastpath")
 CONFIG_MODULE = "simulation.config"
 STATS_MODULE = "simulation.stats"
 CACHE_MODULE = "exec.cache"
@@ -132,7 +132,7 @@ class EngineParityChecker(ProjectChecker):
                 detail = "never read by any engine module"
             yield self.finding(
                 config.path, field.lineno, field.col,
-                f"{PARAMS_CLASS}.{field.name} is {detail}; all three "
+                f"{PARAMS_CLASS}.{field.name} is {detail}; both exact "
                 "engines must honor every knob to stay bit-for-bit "
                 "interchangeable (waive here naming the shared state "
                 "path if consumption is indirect)",

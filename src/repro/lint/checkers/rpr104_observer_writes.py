@@ -2,7 +2,7 @@
 
 The observability layer (:mod:`repro.obs`) promises that attaching a
 tracer or metrics collector leaves every simulation bit-for-bit
-identical to an unobserved run -- the whole three-way conformance
+identical to an unobserved run -- the whole exact-engine conformance
 story rests on it.  The promise dies quietly the first time a hook
 "just fixes up" a queue it was handed, or draws from an RNG the engine
 owns: the observed run diverges and the differential tests blame the

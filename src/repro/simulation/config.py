@@ -12,17 +12,17 @@ from dataclasses import dataclass
 
 __all__ = ["CACHE_KEY_EXCLUDED_FIELDS", "SimulationParams"]
 
-#: Fields excluded from :func:`repro.exec.cache.cache_key`.  All three
+#: Fields excluded from :func:`repro.exec.cache.cache_key`.  The two
 #: exact engines are bit-for-bit identical, so *which* engine computed
 #: a result must not split the cache key space -- a sweep run with the
-#: vectorized engine has to hit entries written by the reference one.
+#: fast engine has to hit entries written by the reference one.
 #: ``rng_mode`` is deliberately **not** here: relaxed-mode results are
 #: only statistically equivalent to exact ones, so they must never be
 #: served from (or poison) an exact-mode cache entry.  Every other
 #: field participates in the key; the RPR101/RPR105 lint passes
 #: cross-check this declaration against the cache layer's actual
 #: exclusions, so policy changes happen here, on the record.
-CACHE_KEY_EXCLUDED_FIELDS = frozenset({"fast_path", "engine"})
+CACHE_KEY_EXCLUDED_FIELDS = frozenset({"engine"})
 
 
 @dataclass(frozen=True)
@@ -75,27 +75,18 @@ class SimulationParams:
         knob exists to demonstrate that).  The two phases use disjoint
         halves of the virtual channels for deadlock freedom, so it
         needs ``virtual_channels >= 2``.  Folded Clos only.
-    fast_path:
-        Run through the precomputed-route engine
-        (:mod:`repro.simulation.fastpath`): per-destination output
-        candidates are flattened into CSR index arrays and the event
-        heap is replaced by a calendar-queue wheel.  The fast path is
-        bit-for-bit identical to the reference engine (same RNG call
-        order, same :class:`~repro.simulation.stats.SimResult`, same
-        observer callbacks), so this knob trades nothing but wall
-        time; ``False`` selects the reference engine, kept as the
-        oracle for the differential test suite.  Because results are
-        identical, this field is excluded from
-        :func:`repro.exec.cache.cache_key`.
     engine:
-        Explicit engine selection: ``"reference"``, ``"fast"`` or
-        ``"vectorized"`` (:mod:`repro.accel.sim`, struct-of-arrays
-        state with batched per-cycle candidate gathering).  The empty
-        default defers to ``fast_path`` so configurations predating
-        this knob keep their meaning.  All three engines are
-        bit-for-bit identical (enforced by the three-way conformance
-        matrix in ``tests/test_fastpath_differential.py``), so this
-        field is also excluded from the result-cache key.
+        Exact engine: ``"fast"`` (default;
+        :mod:`repro.simulation.fastpath` -- per-destination output
+        candidates flattened into CSR index arrays, the event heap
+        replaced by a calendar-queue wheel) or ``"reference"``
+        (:meth:`~repro.simulation.engine.Simulator.run_reference`,
+        kept as the oracle for the differential test suite).  The two
+        are bit-for-bit identical (same RNG call order, same
+        :class:`~repro.simulation.stats.SimResult`, same observer
+        callbacks; enforced by ``tests/test_fastpath_differential.py``),
+        so this knob trades nothing but wall time and is excluded from
+        :func:`repro.exec.cache.cache_key`.
     rng_mode:
         ``"exact"`` (default) consumes one shared sequential
         ``random.Random`` stream, making every engine bit-for-bit
@@ -107,11 +98,10 @@ class SimulationParams:
         runs -- only statistically equivalent, which
         ``tests/test_relaxed_rng_equivalence.py`` enforces.  Because
         results differ, this field **participates in the result-cache
-        key** (unlike ``engine``/``fast_path``); the RPR105 lint pass
-        guards that.  Relaxed mode supports only the paper's Table 2
-        arbitration defaults (``arbiter="random"``,
-        ``up_selection="random"``) and refuses exact-only ``engine``
-        selections.
+        key** (unlike ``engine``); the RPR105 lint pass guards that.
+        Relaxed mode supports only the paper's Table 2 arbitration
+        defaults (``arbiter="random"``, ``up_selection="random"``) and
+        refuses ``engine="reference"``.
     seed:
         Master RNG seed (traffic, ECMP choices, arbitration).
     """
@@ -119,7 +109,7 @@ class SimulationParams:
     measure_cycles: int = 10_000
     warmup_cycles: int = 2_000
     virtual_channels: int = 4
-    buffer_packets: int = 4  # repro: allow-RPR101 -- consumed in Simulator.__init__'s buffer construction; the fast/vectorized engines reuse that pre-built state
+    buffer_packets: int = 4  # repro: allow-RPR101 -- consumed in Simulator.__init__'s buffer construction; the fast engine reuses that pre-built state
     packet_phits: int = 16
     link_latency: int = 1
     minimal_routing: bool = True
@@ -127,10 +117,9 @@ class SimulationParams:
     arbiter: str = "random"
     up_selection: str = "random"
     valiant: bool = False
-    fast_path: bool = True  # repro: allow-RPR101 -- engine-selection knob read by the simulate() dispatcher, never by an engine; excluded from the cache key because results are identical
-    engine: str = ""  # repro: allow-RPR101 -- engine-selection knob read by the simulate() dispatcher, never by an engine; excluded from the cache key because results are identical
-    rng_mode: str = "exact"  # repro: allow-RPR101 -- mode-selection knob read by the run() dispatcher via engine_name; the exact engines predate it by definition, and unlike engine/fast_path it stays IN the cache key (results are not bit-for-bit)
-    seed: int = 0  # repro: allow-RPR101 -- consumed in Simulator.__init__'s RNG construction, shared verbatim by all three engines
+    engine: str = "fast"  # repro: allow-RPR101 -- engine-selection knob read only by the Simulator.run() dispatcher (via engine_name), never by an engine loop; excluded from the cache key because results are identical
+    rng_mode: str = "exact"  # repro: allow-RPR101 -- mode-selection knob read by the run() dispatcher via engine_name; the exact engines predate it by definition, and unlike engine it stays IN the cache key (results are not bit-for-bit)
+    seed: int = 0  # repro: allow-RPR101 -- consumed in Simulator.__init__'s RNG construction, shared verbatim by both exact engines
 
     def __post_init__(self) -> None:
         if self.measure_cycles < 1:
@@ -162,9 +151,9 @@ class SimulationParams:
                 "Valiant routing needs at least 2 virtual channels "
                 "(one class per phase)"
             )
-        if self.engine not in ("", "reference", "fast", "vectorized"):
+        if self.engine not in ("fast", "reference"):
             raise ValueError(
-                f"engine must be 'reference', 'fast' or 'vectorized', "
+                f"engine must be 'fast' or 'reference', "
                 f"got {self.engine!r}"
             )
         if self.rng_mode not in ("exact", "relaxed"):
@@ -173,10 +162,10 @@ class SimulationParams:
                 f"got {self.rng_mode!r}"
             )
         if self.rng_mode == "relaxed":
-            if self.engine in ("reference", "fast"):
+            if self.engine == "reference":
                 raise ValueError(
                     "rng_mode='relaxed' runs only on the batched relaxed "
-                    f"engine; engine={self.engine!r} is exact-only"
+                    "engine; engine='reference' is exact-only"
                 )
             if self.arbiter != "random" or self.up_selection != "random":
                 raise ValueError(
@@ -188,12 +177,8 @@ class SimulationParams:
 
     @property
     def engine_name(self) -> str:
-        """Resolved engine: ``rng_mode`` then ``engine`` then ``fast_path``."""
-        if self.rng_mode == "relaxed":
-            return "relaxed"
-        if self.engine:
-            return self.engine
-        return "fast" if self.fast_path else "reference"
+        """Resolved engine: ``"relaxed"`` in relaxed mode, else ``engine``."""
+        return "relaxed" if self.rng_mode == "relaxed" else self.engine
 
     @property
     def horizon(self) -> int:

@@ -283,14 +283,11 @@ class Simulator:
     def run(self) -> SimResult:
         """Execute the run through the engine the params select.
 
-        ``params.engine_name`` resolves to one of four engines:
+        ``params.engine_name`` resolves to one of three engines:
 
         * ``"fast"`` (the default) -- :func:`repro.simulation.fastpath
           .run_fast`: precomputed CSR candidate tables driving a
           calendar-queue event wheel;
-        * ``"vectorized"`` -- :func:`repro.accel.sim.run_vectorized`:
-          struct-of-arrays packet/channel state in numpy arrays with
-          batched per-cycle candidate gathering and viability masks;
         * ``"reference"`` -- :meth:`run_reference`;
         * ``"relaxed"`` (selected by ``rng_mode="relaxed"``) --
           :func:`repro.accel.relaxed.run_relaxed`: counter-based
@@ -298,10 +295,10 @@ class Simulator:
           per seed but only *statistically* equivalent to the exact
           engines (``tests/test_relaxed_rng_equivalence.py``).
 
-        The three exact engines are bit-for-bit identical (same RNG
+        The two exact engines are bit-for-bit identical (same RNG
         stream, same :class:`SimResult`, same observer callbacks, same
         post-run channel state) -- the reference engine is kept as the
-        oracle for the three-way conformance matrix in
+        oracle for the conformance matrix in
         ``tests/test_fastpath_differential.py``.
         """
         engine = self.params.engine_name
@@ -309,10 +306,6 @@ class Simulator:
             from ..accel.relaxed import run_relaxed
 
             return run_relaxed(self)
-        if engine == "vectorized":
-            from ..accel.sim import run_vectorized
-
-            return run_vectorized(self)
         if engine == "fast":
             from .fastpath import run_fast
 

@@ -131,16 +131,12 @@ def replicated_point(
     params: SimulationParams | None = None,
     replications: int = 5,
     executor=None,
-    fast_path: bool | None = None,
 ) -> AggregateResult:
     """Average ``replications`` independent runs of one load point.
 
     ``executor`` is a :class:`repro.exec.Executor`; when None the
     ambient executor is used (serial and cacheless unless the caller
-    or CLI configured otherwise).  ``fast_path`` overrides
-    ``params.fast_path`` for every replication when given; because all
-    engines are bit-for-bit identical, the choice affects wall
-    time only -- aggregates and cache hits are unchanged.
+    or CLI configured otherwise).
     """
     from .. import obs
     from ..exec import get_executor
@@ -149,8 +145,6 @@ def replicated_point(
     if replications < 1:
         raise ValueError("need at least one replication")
     params = params or SimulationParams()
-    if fast_path is not None and fast_path != params.fast_path:
-        params = params.scaled(fast_path=fast_path)
     collect = obs.metrics_enabled()
     tasks = []
     for i in range(replications):

@@ -15,7 +15,7 @@ top of the same engines:
   :class:`~repro.simulation.stats.SimResult` with ``flow_stats``.
 
 Flow mode consumes no engine RNG for arrivals or destinations, so the
-three exact engines remain bit-for-bit identical (including the
+two exact engines remain bit-for-bit identical (including the
 ``flow_complete`` stream); the relaxed engine stays statistically
 equivalent.  See ``docs/WORKLOADS.md``.
 """

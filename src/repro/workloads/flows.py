@@ -23,7 +23,7 @@ provides that layer:
   interface.  Engines detect the ``flow_schedule`` attribute and
   switch from Bernoulli generation to scheduled release; in the exact
   engines flow mode consumes **no** RNG for arrivals or destinations,
-  so reference/fast/vectorized stay bit-for-bit identical
+  so reference and fast stay bit-for-bit identical
   (``tests/test_workload_differential.py``).
 
 Size distributions are small objects with ``sample(rng)`` and an

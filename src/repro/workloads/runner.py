@@ -1,7 +1,7 @@
 """One-call workload runs: simulator + tracker + FCT surface.
 
 :func:`run_workload` wires a :class:`~repro.workloads.flows.FlowTraffic`
-into any of the four engines, attaches a
+into any of the three engines, attaches a
 :class:`~repro.workloads.tracker.FlowTracker`, and returns the usual
 :class:`~repro.simulation.stats.SimResult` with ``flow_stats``
 populated -- the same side-channel pattern ``metrics`` uses (excluded

@@ -24,6 +24,16 @@ class TestParser:
         assert args.cache_dir is None
         assert not args.no_cache
 
+    @pytest.mark.parametrize("command", [["simulate", "rfc"], ["workload"]])
+    def test_engine_choices_are_the_exact_engines(self, command, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(command + ["--engine", "vectorized"])
+        assert exc_info.value.code == 2
+        assert "invalid choice: 'vectorized'" in capsys.readouterr().err
+        for engine in ("fast", "reference"):
+            args = build_parser().parse_args(command + ["--engine", engine])
+            assert args.engine == engine
+
     def test_experiment_exec_flags(self):
         args = build_parser().parse_args(
             ["experiment", "fig8", "--workers", "4",

@@ -1,18 +1,42 @@
-"""Hypothesis property tests on the simulation engine.
+"""Hypothesis property tests on the simulation engines.
 
 Small random configurations checked for the invariants that must hold
 regardless of parameters: packet conservation, capacity bounds, and
-routing legality.
+routing legality.  The second half holds every engine to the same
+contracts:
+
+* **Packet conservation, callback by callback** -- an observer tallies
+  inject/eject/drop callbacks as they fire and demands the in-flight
+  count never goes negative and callback times never run backwards;
+  at run end the full balance must close: every generated packet is
+  delivered, still queued somewhere in the network, or dropped as
+  unroutable.  Checked on the fast and relaxed engines, on small
+  random configurations and once each at the benchmark sizes.
+* **Arbitration stability under input-unit permutation** -- permuting
+  the per-switch input-unit order changes which packets the shared
+  RNG stream favors, so it changes results; but it must change them
+  *identically* in both exact engines.
+* **Exception parity** -- malformed configurations raise the same
+  validation errors whatever engine they select, and a traffic pattern
+  that blows up mid-run propagates the same exception at the same
+  generation point through both exact engines.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rfc import radix_regular_rfc
+from repro.core.rfc import radix_regular_rfc, rfc_with_updown
 from repro.core.ancestors import has_updown_routing_of
+from repro.obs.hooks import SimObserver
 from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator
-from repro.simulation.traffic import make_traffic
+from repro.simulation.traffic import TrafficPattern, make_traffic
+from repro.topologies.packed import packed_radix_regular_rfc
+from repro.workloads import make_workload
+from repro.workloads.runner import nominal_load
 
 engine_configs = st.fixed_dictionaries(
     {
@@ -31,10 +55,15 @@ engine_configs = st.fixed_dictionaries(
 )
 
 
-def build(config):
+def build(config, engine="fast", observer=None):
+    """``engine`` is ``"reference"``, ``"fast"`` or ``"relaxed"``."""
     topo = radix_regular_rfc(
         config["radix"], config["n1"], 2, rng=config["seed"]
     )
+    if engine == "relaxed":
+        mode = {"rng_mode": "relaxed"}
+    else:
+        mode = {"engine": engine}
     params = SimulationParams(
         measure_cycles=200,
         warmup_cycles=50,
@@ -43,11 +72,13 @@ def build(config):
         packet_phits=config["phits"],
         link_latency=config["latency"],
         seed=config["seed"],
+        **mode,
     )
     traffic = make_traffic(
         config["traffic"], topo.num_terminals, rng=config["seed"] + 1
     )
-    return topo, Simulator(topo, traffic, config["load"], params)
+    sim = Simulator(topo, traffic, config["load"], params, observer=observer)
+    return topo, sim
 
 
 @settings(max_examples=25, deadline=None)
@@ -91,3 +122,197 @@ def test_latency_at_least_serialization(config):
         return
     min_latency = config["latency"] + config["phits"] - 1
     assert result.p50_latency >= min_latency
+
+
+class ConservationObserver(SimObserver):
+    """Asserts the in-flight balance at every callback."""
+
+    def __init__(self):
+        self.injected = 0
+        self.ejected = 0
+        self.dropped = 0
+        self.last_time = 0
+
+    def _tick(self, time):
+        assert time >= self.last_time, "callback time ran backwards"
+        self.last_time = time
+        in_flight = self.injected - self.ejected
+        assert in_flight >= 0, "more ejections than injections"
+
+    def on_inject(self, time, packet, queue_len):
+        self.injected += 1
+        self._tick(time)
+
+    def on_eject(self, time, packet, latency, phits):
+        self.ejected += 1
+        self._tick(time)
+
+    def on_drop(self, time, terminal, packet):
+        self.dropped += 1
+        self._tick(time)
+
+
+def queued_packets(sim):
+    """Packets still sitting in any (channel, vc) queue post-run."""
+    return sum(
+        len(queue)
+        for queues in sim.ch_queues
+        if queues is not None  # eject channels keep no queue
+        for queue in queues
+    )
+
+
+def assert_conserved(sim, obs, result):
+    # Callback tallies agree with the aggregate counters...
+    assert obs.ejected == result.delivered_packets
+    assert obs.dropped == sim.unroutable_packets
+    # ...and the end-of-run balance closes exactly: generated packets
+    # are delivered, still in the network, or dropped.
+    assert result.generated_packets == (
+        result.delivered_packets + queued_packets(sim) + sim.unroutable_packets
+    )
+
+
+@pytest.mark.parametrize("engine", ["fast", "relaxed"])
+@settings(max_examples=25, deadline=None)
+@given(config=engine_configs)
+def test_packet_conservation_every_cycle(engine, config):
+    obs = ConservationObserver()
+    _, sim = build(config, engine, observer=obs)
+    assert_conserved(sim, obs, sim.run())
+
+
+def test_packet_conservation_at_uniform_bench_size():
+    """RFC(16,256,3), 2048 terminals, uniform load 0.7 on the fast
+    engine -- the ``uniform_2k_exact`` benchmark run."""
+    topo, _ = rfc_with_updown(16, 256, 3, rng=1)
+    params = SimulationParams(measure_cycles=100, warmup_cycles=100, seed=1)
+    obs = ConservationObserver()
+    sim = Simulator(
+        topo, make_traffic("uniform", topo.num_terminals, rng=1), 0.7,
+        params, observer=obs,
+    )
+    result = sim.run()
+    assert result.delivered_packets > 10_000
+    assert_conserved(sim, obs, result)
+
+
+def test_packet_conservation_at_rpc_bench_size():
+    """Packed RFC(32,512,3), 8192 terminals, RPC flows on the relaxed
+    engine -- the ``rpc_8k_relaxed`` benchmark run."""
+    params = SimulationParams(
+        measure_cycles=100, warmup_cycles=50, seed=1, rng_mode="relaxed"
+    )
+    topo = packed_radix_regular_rfc(32, 512, 3, rng=1)
+    workload = make_workload(
+        "rpc", topo.num_terminals, seed=1, load=0.5, rpc_size=4,
+        duration=params.horizon,
+    )
+    obs = ConservationObserver()
+    sim = Simulator(
+        topo, workload, nominal_load(workload, params), params, observer=obs
+    )
+    result = sim.run()
+    assert result.delivered_packets > 10_000
+    assert_conserved(sim, obs, result)
+
+
+@pytest.mark.parametrize("arbiter", ["random", "rotating"])
+@settings(max_examples=15, deadline=None)
+@given(
+    config=engine_configs,
+    perm_seed=st.integers(min_value=0, max_value=1_000),
+)
+def test_arbitration_stable_under_unit_permutation(config, perm_seed, arbiter):
+    results = []
+    for engine in ("reference", "fast"):
+        _, sim = build(config, engine)
+        sim.params = sim.params.scaled(arbiter=arbiter)
+        # Shuffle each switch's input-unit scan order the same way in
+        # both engines; results may differ from the unshuffled run but
+        # must stay identical across engines.
+        shuffler = random.Random(perm_seed)
+        for row in sim.in_units:
+            shuffler.shuffle(row)
+        results.append((sim.run(), sim.ch_busy_cycles))
+    assert results[0] == results[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    engine=st.sampled_from(["reference", "fast"]),
+    field=st.sampled_from(
+        [
+            {"measure_cycles": 0},
+            {"warmup_cycles": -1},
+            {"virtual_channels": 0},
+            {"buffer_packets": 0},
+            {"packet_phits": 0},
+            {"link_latency": 0},
+            {"arbitration_iterations": 0},
+            {"up_selection": "greedy"},
+            {"arbiter": "fifo"},
+            {"valiant": True, "virtual_channels": 1},
+            {"engine": "turbo"},
+        ]
+    ),
+)
+def test_malformed_config_parity(engine, field):
+    """Validation failures are engine-independent: same exception
+    type and message whatever engine the config also selects."""
+    overrides = dict(field)
+    if "engine" not in overrides:
+        overrides["engine"] = engine
+    with pytest.raises(ValueError) as exc_info:
+        SimulationParams(**overrides)
+    reference_msg = str(exc_info.value)
+    overrides.pop("engine")
+    if "engine" in field:
+        return  # the engine string itself was the malformed field
+    with pytest.raises(ValueError) as exc_info2:
+        SimulationParams(engine="reference", **overrides)
+    assert str(exc_info2.value) == reference_msg
+
+
+class ExplodingTraffic(TrafficPattern):
+    """Uniform-ish traffic that raises after a fixed number of draws."""
+
+    name = "exploding"
+
+    def __init__(self, num_terminals, fuse):
+        super().__init__(num_terminals)
+        self.fuse = fuse
+        self.calls = 0
+
+    def destination(self, source, rng):
+        self.calls += 1
+        if self.calls > self.fuse:
+            raise RuntimeError(f"traffic exploded after {self.fuse} draws")
+        dest = rng.randrange(self.num_terminals - 1)
+        return dest if dest < source else dest + 1
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    fuse=st.integers(min_value=0, max_value=120),
+    seed=st.integers(min_value=0, max_value=1_000),
+)
+def test_midrun_exception_parity(fuse, seed):
+    """A traffic pattern that blows up mid-run must surface the same
+    exception from both exact engines, at the same generation point."""
+    outcomes = []
+    for engine in ("reference", "fast"):
+        topo = radix_regular_rfc(4, 8, 2, rng=seed)
+        params = SimulationParams(
+            measure_cycles=150, warmup_cycles=0, seed=seed, engine=engine
+        )
+        traffic = ExplodingTraffic(topo.num_terminals, fuse)
+        sim = Simulator(topo, traffic, 0.5, params)
+        try:
+            sim.run()
+            outcomes.append(("completed", traffic.calls))
+        except RuntimeError as exc:
+            outcomes.append(
+                (str(exc), traffic.calls, sim._stats.generated_packets)
+            )
+    assert outcomes[0] == outcomes[1]

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import repro.exec.executor as executor_mod
+from repro.core.rfc import rfc_with_updown
 from repro.exec import build_executor
 from repro.exec.cache import (
     CACHE_FORMAT,
@@ -131,6 +132,22 @@ class TestCacheKey:
         ]
         assert base not in variants
         assert len(set(variants)) == len(variants)
+
+    def test_digest_is_pinned(self):
+        """Caches written by earlier releases keep hitting: the key of
+        one fixed point is byte-stable.  Engine selection never enters
+        the payload, so removing an engine knob leaves it unchanged."""
+        topo, _ = rfc_with_updown(8, 16, 3, rng=7)
+        digest = topology_digest(topo)
+        expected = (
+            "83e9251d500c949855a0c6a47fa27e21"
+            "3ec872c6ec0f0c7b7f8b557c6a6a38f9"
+        )
+        for params in (
+            SimulationParams(),
+            SimulationParams(engine="reference"),
+        ):
+            assert cache_key(digest, "uniform", 0.5, params, 3) == expected
 
     def test_removed_links_order_irrelevant(self, cft_4_3):
         digest = topology_digest(cft_4_3)

@@ -1,13 +1,9 @@
-"""Differential proof that every engine equals the reference engine.
+"""Differential proof that the fast engine equals the reference engine.
 
-The simulator ships three cycle engines -- ``reference`` (the oracle),
-``fast`` (:func:`repro.simulation.fastpath.run_fast`) and
-``vectorized`` (:func:`repro.accel.sim.run_vectorized`).  Every test
-here runs the same (topology, traffic, load, params) point through all
-of them -- the vectorized engine twice, once per execution regime
-(incremental-masks-only and forced batched gathering, by pinning
-``repro.accel.sim._BATCH_MIN_UNITS`` to 0) -- and demands
-**bit-for-bit** agreement:
+The simulator ships two exact cycle engines -- ``reference`` (the
+oracle) and ``fast`` (:func:`repro.simulation.fastpath.run_fast`).
+Every test here runs the same (topology, traffic, load, params) point
+through both and demands **bit-for-bit** agreement:
 
 * :class:`SimResult` dataclass equality (accepted load, latency
   moments, percentiles, packet counters),
@@ -15,7 +11,7 @@ of them -- the vectorized engine twice, once per execution regime
 * packet traces, peak injection queue depth, unroutable drop counts,
 * and, when instrumented, the full :class:`MetricsObserver` export.
 
-Because all engines share one ``random.Random`` stream, any divergence
+Because both engines share one ``random.Random`` stream, any divergence
 in RNG call *order* -- not just in results -- shows up as a mismatch,
 which is what makes this a proof of equivalence rather than a
 statistical comparison.  The quick matrix runs everywhere; the
@@ -27,7 +23,6 @@ import json
 
 import pytest
 
-import repro.accel.sim as accel_sim
 from repro.core.rfc import radix_regular_rfc, rfc_with_updown
 from repro.faults.switches import links_of_switches
 from repro.obs import MetricsObserver
@@ -38,13 +33,8 @@ from repro.topologies.rrn import random_regular_network
 
 BASE = SimulationParams(measure_cycles=300, warmup_cycles=100, seed=5)
 
-#: (engine, forced _BATCH_MIN_UNITS or None) -- the full engine matrix.
-ENGINE_RUNS = (
-    ("reference", None),
-    ("fast", None),
-    ("vectorized", None),  # incremental masks, no numpy phase
-    ("vectorized", 0),  # batched viability phase forced on
-)
+#: The full exact-engine matrix, reference first.
+ENGINE_RUNS = ("reference", "fast")
 
 
 def run_engines(
@@ -56,29 +46,23 @@ def run_engines(
     with_observer=False,
     trace_limit=0,
 ):
-    """Run one point on every engine/regime; returns the sims,
-    reference first."""
+    """Run one point on every engine; returns the sims, reference
+    first."""
     sims = []
-    for engine, batch_min in ENGINE_RUNS:
-        saved = accel_sim._BATCH_MIN_UNITS
-        if batch_min is not None:
-            accel_sim._BATCH_MIN_UNITS = batch_min
-        try:
-            traffic = make_traffic(
-                traffic_name, topo.num_terminals, rng=params.seed + 1
-            )
-            sim = Simulator(
-                topo,
-                traffic,
-                load,
-                params.scaled(engine=engine),
-                removed_links,
-                trace_limit=trace_limit,
-                observer=MetricsObserver() if with_observer else None,
-            )
-            sim.result = sim.run()
-        finally:
-            accel_sim._BATCH_MIN_UNITS = saved
+    for engine in ENGINE_RUNS:
+        traffic = make_traffic(
+            traffic_name, topo.num_terminals, rng=params.seed + 1
+        )
+        sim = Simulator(
+            topo,
+            traffic,
+            load,
+            params.scaled(engine=engine),
+            removed_links,
+            trace_limit=trace_limit,
+            observer=MetricsObserver() if with_observer else None,
+        )
+        sim.result = sim.run()
         sims.append(sim)
     return sims
 
@@ -296,7 +280,7 @@ class TestEdgeCases:
         fields, which compare equal by SimResult's contract)."""
         topo = topologies["rfc"]
         sims = []
-        for engine in ("reference", "fast", "vectorized"):
+        for engine in ENGINE_RUNS:
             traffic = _AllSilentTraffic(topo.num_terminals)
             sim = Simulator(topo, traffic, 0.5, BASE.scaled(engine=engine))
             sim.result = sim.run()

@@ -84,20 +84,20 @@ class TestSummaries:
     def test_str_set_constants_and_pop_literals(self, tmp_path):
         source = textwrap.dedent(
             """\
-            EXCLUDED = frozenset({"fast_path", "engine"})
+            EXCLUDED = frozenset({"engine", "label"})
 
             def make_key(payload):
-                payload.pop("fast_path", None)
+                payload.pop("engine", None)
                 return payload
             """
         )
         summary = summarize_module(source, "mod.py", module="mod")
-        assert set(summary.str_sets["EXCLUDED"]) == {"fast_path", "engine"}
+        assert set(summary.str_sets["EXCLUDED"]) == {"engine", "label"}
         (pop_call,) = [
             c for c in summary.functions["make_key"].calls
             if c.target.endswith(".pop")
         ]
-        assert pop_call.str_arg == "fast_path"
+        assert pop_call.str_arg == "engine"
 
     def test_syntax_error_raises(self):
         with pytest.raises(SyntaxError):

@@ -25,9 +25,9 @@ def _write(tmp_path, files):
 
 
 class TestEngineParityMutation:
-    """A field added to SimulationParams and consumed by only two of
-    the three engines must be caught -- the exact drift RPR101 exists
-    for, seeded into a copy of the real tree."""
+    """A field added to SimulationParams and consumed by only one of
+    the two exact engines must be caught -- the exact drift RPR101
+    exists for, seeded into a copy of the real tree."""
 
     def _mutated_tree(self, tmp_path):
         tree = tmp_path / "repro"
@@ -47,19 +47,21 @@ class TestEngineParityMutation:
                 1,
             )
         )
-        fastpath = tree / "simulation" / "fastpath.py"
-        source = fastpath.read_text()
-        marker = "def run_fast("
-        head, _, rest = source.partition(marker)
-        body_start = rest.index("\n") + 1
-        # First statement of run_fast reads the new knob; the reference
-        # engine reaches it through its lazy run_fast dispatch, the
-        # vectorized engine never does.
-        fastpath.write_text(
-            head + marker + rest[:body_start]
-            + "    _mutation = params.mutation_knob\n"
-            + rest[body_start:]
+        engine = tree / "simulation" / "engine.py"
+        source = engine.read_text()
+        anchor = (
+            "    def run_reference(self) -> SimResult:\n"
+            "        params = self.params\n"
         )
+        assert anchor in source
+        # run_reference reads the new knob right after binding params;
+        # the fast engine never reaches run_reference.  (A knob read
+        # only by run_fast is invisible here, because the reference
+        # module reaches run_fast through its dispatch; the
+        # differential matrix catches that drift instead.)
+        engine.write_text(source.replace(
+            anchor, anchor + "        _mutation = params.mutation_knob\n", 1
+        ))
         return tree
 
     def test_mutation_is_caught(self, tmp_path):
@@ -71,8 +73,10 @@ class TestEngineParityMutation:
         ]
         assert len(hits) == 1
         (hit,) = hits
-        assert "accel.sim" in hit.message
-        assert "simulation.fastpath" not in hit.message.split("never read")[1]
+        consumed, never_read = hit.message.split("never read")
+        assert "simulation.engine" in consumed
+        assert "simulation.fastpath" in never_read
+        assert "simulation.engine" not in never_read
         assert hit.file.endswith("config.py")
         assert not report.internal_errors
 
@@ -94,25 +98,20 @@ class TestCachePolicy:
         "proj/simulation/config.py": """\
             from dataclasses import dataclass
 
-            CACHE_KEY_EXCLUDED_FIELDS = frozenset({"fast_path"})
+            CACHE_KEY_EXCLUDED_FIELDS = frozenset({"engine"})
 
             @dataclass(frozen=True)
             class SimulationParams:
                 cycles: int = 10
-                fast_path: bool = True
+                engine: str = "fast"
             """,
         "proj/simulation/engine.py": """\
             def run(params):
-                return params.cycles + int(params.fast_path)
+                return params.cycles + len(params.engine)
             """,
         "proj/simulation/fastpath.py": """\
             def run_fast(params):
-                return params.cycles + int(params.fast_path)
-            """,
-        "proj/accel/__init__.py": "",
-        "proj/accel/sim.py": """\
-            def run_vectorized(params):
-                return params.cycles + int(params.fast_path)
+                return params.cycles + len(params.engine)
             """,
         "proj/exec/__init__.py": "",
         "proj/exec/cache.py": """\
@@ -120,7 +119,7 @@ class TestCachePolicy:
 
             def cache_key(params):
                 payload = dataclasses.asdict(params)
-                payload.pop("fast_path", None)
+                payload.pop("engine", None)
                 return sorted(payload.items())
             """,
     }
@@ -135,7 +134,7 @@ class TestCachePolicy:
         files["proj/simulation/config.py"] = files[
             "proj/simulation/config.py"
         ].replace(
-            'CACHE_KEY_EXCLUDED_FIELDS = frozenset({"fast_path"})\n', ""
+            'CACHE_KEY_EXCLUDED_FIELDS = frozenset({"engine"})\n', ""
         )
         _write(tmp_path, files)
         report = run_analysis([tmp_path])
@@ -148,8 +147,8 @@ class TestCachePolicy:
         files["proj/exec/cache.py"] = textwrap.dedent(
             files["proj/exec/cache.py"]
         ).replace(
-            'payload.pop("fast_path", None)',
-            'payload.pop("fast_path", None)\n'
+            'payload.pop("engine", None)',
+            'payload.pop("engine", None)\n'
             '    payload.pop("cycles", None)',
         )
         _write(tmp_path, files)
@@ -163,7 +162,7 @@ class TestCachePolicy:
         files = dict(self.FILES)
         files["proj/simulation/config.py"] = files[
             "proj/simulation/config.py"
-        ].replace('{"fast_path"}', '{"fast_path", "ghost_field"}')
+        ].replace('{"engine"}', '{"engine", "ghost_field"}')
         _write(tmp_path, files)
         report = run_analysis([tmp_path])
         hits = [f for f in report.findings if f.code == "RPR101"]
@@ -182,26 +181,21 @@ class TestRelaxedRngPolicy:
         "proj/simulation/config.py": """\
             from dataclasses import dataclass
 
-            CACHE_KEY_EXCLUDED_FIELDS = frozenset({"fast_path"})
+            CACHE_KEY_EXCLUDED_FIELDS = frozenset({"engine"})
 
             @dataclass(frozen=True)
             class SimulationParams:
                 cycles: int = 10
-                fast_path: bool = True
+                engine: str = "fast"
                 rng_mode: str = "exact"
             """,
         "proj/simulation/engine.py": """\
             def run(params):
-                return params.cycles + int(params.fast_path) + len(params.rng_mode)
+                return params.cycles + len(params.engine) + len(params.rng_mode)
             """,
         "proj/simulation/fastpath.py": """\
             def run_fast(params):
-                return params.cycles + int(params.fast_path) + len(params.rng_mode)
-            """,
-        "proj/accel/__init__.py": "",
-        "proj/accel/sim.py": """\
-            def run_vectorized(params):
-                return params.cycles + int(params.fast_path) + len(params.rng_mode)
+                return params.cycles + len(params.engine) + len(params.rng_mode)
             """,
         "proj/exec/__init__.py": "",
         "proj/exec/cache.py": """\
@@ -209,7 +203,7 @@ class TestRelaxedRngPolicy:
 
             def cache_key(params):
                 payload = dataclasses.asdict(params)
-                payload.pop("fast_path", None)
+                payload.pop("engine", None)
                 return sorted(payload.items())
             """,
     }
@@ -226,15 +220,15 @@ class TestRelaxedRngPolicy:
         files = dict(self.FILES)
         files["proj/simulation/config.py"] = files[
             "proj/simulation/config.py"
-        ].replace('{"fast_path"}', '{"fast_path", "rng_mode"}')
+        ].replace('{"engine"}', '{"engine", "rng_mode"}')
         # Match the declaration in the cache layer so RPR101 stays
         # quiet: a *consistent* exclusion of the mode is exactly the
         # policy bug RPR105 exists to reject.
         files["proj/exec/cache.py"] = textwrap.dedent(
             files["proj/exec/cache.py"]
         ).replace(
-            'payload.pop("fast_path", None)',
-            'payload.pop("fast_path", None)\n'
+            'payload.pop("engine", None)',
+            'payload.pop("engine", None)\n'
             '    payload.pop("rng_mode", None)',
         )
         _write(tmp_path, files)
@@ -253,8 +247,8 @@ class TestRelaxedRngPolicy:
         files["proj/exec/cache.py"] = textwrap.dedent(
             files["proj/exec/cache.py"]
         ).replace(
-            'payload.pop("fast_path", None)',
-            'payload.pop("fast_path", None)\n'
+            'payload.pop("engine", None)',
+            'payload.pop("engine", None)\n'
             '    payload.pop("rng_mode", None)',
         )
         _write(tmp_path, files)
@@ -271,7 +265,7 @@ class TestRelaxedRngPolicy:
         files = dict(self.FILES)
         files["proj/exec/cache.py"] = """\
             def cache_key(params):
-                return (params.cycles, params.fast_path)
+                return (params.cycles, params.engine)
             """
         _write(tmp_path, files)
         report = run_analysis([tmp_path])
@@ -285,7 +279,7 @@ class TestRelaxedRngPolicy:
         files = dict(self.FILES)
         files["proj/exec/cache.py"] = """\
             def cache_key(params):
-                return (params.cycles, params.fast_path, params.rng_mode)
+                return (params.cycles, params.engine, params.rng_mode)
             """
         _write(tmp_path, files)
         report = run_analysis([tmp_path])
@@ -302,9 +296,6 @@ class TestRelaxedRngPolicy:
             files[f"proj/simulation/{mod}.py"] = files[
                 f"proj/simulation/{mod}.py"
             ].replace(" + len(params.rng_mode)", "")
-        files["proj/accel/sim.py"] = files["proj/accel/sim.py"].replace(
-            " + len(params.rng_mode)", ""
-        )
         _write(tmp_path, files)
         report = run_analysis([tmp_path])
         assert self._rpr105(report) == []

@@ -16,8 +16,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.accel.relaxed import build_relaxed_candidates
-from repro.accel.sim import build_padded_candidates
+from repro.accel.relaxed import (
+    build_padded_candidates,
+    build_relaxed_candidates,
+)
 from repro.core.rfc import rfc_with_updown
 from repro.routing.table import CsrTable
 from repro.simulation.config import SimulationParams

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.accel.sim as accel_sim
 from repro.core.rfc import rfc_with_updown
 from repro.obs import MetricsObserver
 from repro.simulation.config import SimulationParams
@@ -29,7 +28,7 @@ from repro.simulation.engine import load_sweep, simulate
 from repro.simulation.traffic import make_traffic
 
 GOLDEN = Path(__file__).parent / "data" / "golden_load_sweep.json"
-GOLDEN_VEC = Path(__file__).parent / "data" / "golden_vectorized_bench.json"
+GOLDEN_BENCH = Path(__file__).parent / "data" / "golden_vectorized_bench.json"
 PARAMS = SimulationParams(measure_cycles=400, warmup_cycles=100, seed=3)
 LOADS = [0.2, 0.5, 0.8]
 
@@ -50,7 +49,7 @@ def test_load_sweep_matches_golden(topo, golden):
     assert [r.core_dict() for r in results] == golden
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast", "vectorized"])
+@pytest.mark.parametrize("engine", ["reference", "fast"])
 def test_every_engine_matches_golden(topo, golden, engine):
     """Each engine reproduces the pre-fast-path snapshot -- pinning
     *all* engines to the same bit-for-bit history, not just to each
@@ -60,13 +59,11 @@ def test_every_engine_matches_golden(topo, golden, engine):
     assert [r.core_dict() for r in results] == golden
 
 
-@pytest.mark.parametrize("batch_min", [0, 1 << 40])
-def test_vectorized_regimes_match_bench_golden(batch_min):
-    """Golden-signature pin for the vectorized engine specifically, on
-    (a scaled-down cut of) the ``BENCH_engine.json`` workload, in both
-    execution regimes: batched numpy viability forced on (0) and
-    incremental masks only (huge threshold).  The snapshot was captured
-    from the *reference* engine, so this is also a cross-engine pin.
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+def test_every_engine_matches_bench_golden(engine):
+    """Golden-signature pin on (a scaled-down cut of) the
+    ``BENCH_engine.json`` workload.  The snapshot was captured from the
+    *reference* engine, so on ``fast`` this is also a cross-engine pin.
 
     Recipe::
 
@@ -78,21 +75,16 @@ def test_vectorized_regimes_match_bench_golden(batch_min):
         result = simulate(topo, traffic, 0.7, params)
         json.dump(result.core_dict(), fh, indent=1, sort_keys=True)
     """
-    golden_vec = json.loads(GOLDEN_VEC.read_text())
+    golden_bench = json.loads(GOLDEN_BENCH.read_text())
     topo, _ = rfc_with_updown(8, 32, 3, rng=11)
     params = SimulationParams(
-        measure_cycles=400, warmup_cycles=100, seed=5, engine="vectorized"
+        measure_cycles=400, warmup_cycles=100, seed=5, engine=engine
     )
     traffic = make_traffic(
         "uniform", topo.num_terminals, rng=params.seed + 7_919
     )
-    saved = accel_sim._BATCH_MIN_UNITS
-    accel_sim._BATCH_MIN_UNITS = batch_min
-    try:
-        result = simulate(topo, traffic, 0.7, params)
-    finally:
-        accel_sim._BATCH_MIN_UNITS = saved
-    assert result.core_dict() == golden_vec
+    result = simulate(topo, traffic, 0.7, params)
+    assert result.core_dict() == golden_bench
 
 
 def test_instrumented_sweep_matches_golden(topo, golden):

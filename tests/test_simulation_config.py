@@ -64,3 +64,25 @@ class TestScaled:
         params = SimulationParams()
         with pytest.raises(Exception):
             params.seed = 3  # type: ignore[misc]
+
+
+class TestEngineSelection:
+    def test_default_is_fast(self):
+        params = SimulationParams()
+        assert params.engine == "fast"
+        assert params.engine_name == "fast"
+
+    def test_relaxed_mode_resolves_to_relaxed_engine(self):
+        assert SimulationParams(rng_mode="relaxed").engine_name == "relaxed"
+
+    def test_unknown_engine_names_the_allowed_ones(self):
+        with pytest.raises(ValueError, match="'fast' or 'reference'"):
+            SimulationParams(engine="vectorized")
+
+    def test_removed_fast_path_field_is_rejected(self):
+        with pytest.raises(TypeError):
+            SimulationParams(fast_path=False)
+
+    def test_relaxed_mode_refuses_reference_engine(self):
+        with pytest.raises(ValueError, match="exact-only"):
+            SimulationParams(rng_mode="relaxed", engine="reference")

@@ -18,7 +18,7 @@ serialization per packet, ``L`` cycles per link hop:
   arbitration RNG, the multiset is not), i.e. the k-th flow queues for
   exactly ``kP`` cycles.
 
-These are exact integers: every assertion is ``==``, on all four
+These are exact integers: every assertion is ``==``, on all three
 engines (the relaxed engine's RNG freedom only permutes *which* flow
 takes each slot, never the slot times).
 """
@@ -39,7 +39,7 @@ from repro.workloads import (
 P = 16  # packet_phits (SimulationParams default)
 L = 1   # link_latency (SimulationParams default)
 
-ENGINES = ("reference", "fast", "vectorized", "relaxed")
+ENGINES = ("reference", "fast", "relaxed")
 
 
 def dumbbell(hosts_per_leaf):
