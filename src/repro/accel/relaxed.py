@@ -818,7 +818,8 @@ def run_relaxed(sim) -> SimResult:
             # -- apply grants (scalar bookkeeping, mirrors _grant) ------
             for u, out, vcr in zip(wu_l, wout_l, vcr_l):
                 queue = unit_queue[u]
-                packet = queue.popleft()[1]
+                packet = queue[0][1]
+                del queue[0]
                 cid = unit_cid[u]
                 if tracing and -1 < packet.serial < trace_limit:
                     trace = traces.get(packet.serial)

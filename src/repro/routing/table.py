@@ -24,7 +24,7 @@ import numpy as np
 from ..topologies.base import DirectNetwork
 from .shortest import all_shortest_next_hops, shortest_path_lengths
 
-__all__ = ["CsrTable", "EcmpTableRouter"]
+__all__ = ["CandidateRows", "CsrTable", "EcmpTableRouter"]
 
 
 class CsrTable:
@@ -111,36 +111,45 @@ class CsrTable:
         key = self.key(source, dest)
         return self.values[self.offsets[key]:self.offsets[key + 1]]
 
-    def to_lists(self) -> list:
-        """Per-key Python lists for the exact engines' hot loops.
-
-        Returns one entry per key: the candidate list for ROUTE and
-        DELIVER keys, ``None`` for UNROUTABLE ones (the engine replays
-        the reference router on a ``None`` hit so a routing failure
-        raises the exact same :class:`~repro.routing.updown
-        .RoutingError` the reference engine would).  Scalar-indexing
-        numpy arrays from Python is slower than list indexing, so the
-        exact run loops work off this mirror while the arrays stay the
-        canonical, testable representation.  The mirror is large (an int
-        object and a pointer per candidate, plus a list per key), so the
-        relaxed engine never builds it: it reads ``flags`` as one byte
-        per key and gathers candidates from a padded int32 matrix.
-        """
-        offsets = self.offsets.tolist()
-        values = self.values.tolist()
-        unroutable = self.UNROUTABLE
-        return [
-            None
-            if flag == unroutable
-            else values[offsets[key]:offsets[key + 1]]
-            for key, flag in enumerate(self.flags.tolist())
-        ]
-
     def source_of_value(self) -> np.ndarray:
         """Source id of every ``values`` entry (CSR row expansion)."""
         counts = np.diff(self.offsets)
         keys = np.repeat(np.arange(len(self.flags)), counts)
         return keys // self.num_dests
+
+
+class CandidateRows(dict):
+    """Per-key candidate lists of a :class:`CsrTable`, built on first read.
+
+    ``rows[key]`` is the Python list of the key's candidates for ROUTE
+    and DELIVER keys and ``None`` for UNROUTABLE ones (the exact engine
+    replays the reference router on a ``None`` hit, so a routing failure
+    raises the same :class:`~repro.routing.updown.RoutingError` the
+    reference engine would).  Scalar-indexing numpy arrays from Python
+    is slower than a dict hit, so the exact run loop reads rows from
+    here while the arrays stay the canonical representation.  A row is
+    sliced out of the arrays the first time its key is read and kept:
+    a run reads a fraction of the keys (about a fifth of a 2048-terminal
+    RFC's under uniform traffic), so eagerly listing every key would
+    mostly build lists nobody reads.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: CsrTable) -> None:
+        super().__init__()
+        self._table = table
+
+    def __missing__(self, key: int) -> list[int] | None:
+        table = self._table
+        if table.flags[key] == CsrTable.UNROUTABLE:
+            row = None
+        else:
+            row = table.values[
+                table.offsets[key] : table.offsets[key + 1]
+            ].tolist()
+        self[key] = row
+        return row
 
 
 class EcmpTableRouter:

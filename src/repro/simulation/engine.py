@@ -35,8 +35,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import deque
 from typing import Iterable
+
+import numpy as np
 
 from ..obs.hooks import SimObserver
 from ..routing.table import EcmpTableRouter
@@ -59,7 +60,9 @@ class Simulator:
     Build once, call :meth:`run` once.  ``removed_links`` prunes cables
     (both directions) before the run; routing tables are computed on
     the pruned network, and packets whose pair has lost every up/down
-    route are dropped and counted in :attr:`unroutable_packets`.
+    route are dropped and counted in :attr:`unroutable_packets`.  A
+    removed link that is not a cable of ``topo`` raises
+    :class:`ValueError`.
 
     ``observer`` attaches a :class:`~repro.obs.hooks.SimObserver` whose
     hooks fire on every inject/hop/arbitration/eject/drop.  Observers
@@ -99,12 +102,14 @@ class Simulator:
         self.traces: dict[int, list[tuple[int, str, int]]] = {}
         self._next_serial = 0
 
-        removed = set(removed_links or ())
+        removed_order = list(removed_links or ())
+        pairs = self._surviving_links(removed_order)
+        removed = set(removed_order)
         if self._direct:
             self._build_direct_router(removed)
         else:
             self._build_router(removed)
-        self._build_channels(removed)
+        self._build_channels(pairs)
 
     # ------------------------------------------------------------------
     # Construction
@@ -131,85 +136,119 @@ class Simulator:
         for level in range(topo.num_levels - 1):
             rows = []
             for s in range(topo.level_sizes[level]):
-                lo = topo.switch_id(level, s)
-                ups = [
-                    t
-                    for t in topo.up_neighbors(level, s)
-                    if Link(lo, topo.switch_id(level + 1, t)) not in removed
-                ]
-                rows.append(ups)
+                ups = topo.up_neighbors(level, s)
+                if removed:
+                    lo = topo.switch_id(level, s)
+                    ups = [
+                        t
+                        for t in ups
+                        if Link(lo, topo.switch_id(level + 1, t)) not in removed
+                    ]
+                rows.append(list(ups))
             stages.append(rows)
         self.router = UpDownRouter(topo.level_sizes, stages)
 
-    def _build_channels(self, removed: set[Link]) -> None:
+    def _surviving_links(self, removed: list[Link]) -> np.ndarray:
+        """``(L, 2) int64`` (lo, hi) pairs of the cables left after
+        ``removed``, in :meth:`links` order.
+
+        Raises :class:`ValueError` naming the first entry of ``removed``
+        that is not a cable of the topology, rather than simulating the
+        unpruned network under a fault list that names a missing link.
+        """
+        pairs = np.asarray(self.topo.links_array(), dtype=np.int64)
+        if not removed:
+            return pairs
+        n_sw = self.topo.num_switches
+        keys = pairs[:, 0] * n_sw + pairs[:, 1]
+        gone = np.array(
+            [
+                link.lo * n_sw + link.hi if 0 <= link.lo and link.hi < n_sw
+                else -1
+                for link in removed
+            ],
+            dtype=np.int64,
+        )
+        known = np.isin(gone, keys)
+        if not known.all():
+            link = removed[int(np.argmin(known))]
+            raise ValueError(
+                f"removed_links holds {link}, not a link of the topology"
+            )
+        return pairs[~np.isin(keys, gone)]
+
+    def _build_channels(self, pairs: np.ndarray) -> None:
+        """Channel state for the surviving cables ``pairs``, in bulk.
+
+        Channel ids follow the cable order: cable ``i`` owns ``2i``
+        (lo -> hi) and ``2i + 1`` (hi -> lo), then terminal ``t`` owns
+        ``2L + 2t`` (inject) and ``2L + 2t + 1`` (eject).  Every FIFO is
+        a plain list: credits bound a link VC's to ``buffer_packets``
+        entries, so popping the head with ``del queue[0]`` moves at most
+        a few pointers, and an empty list takes 56 bytes where a
+        double-ended queue takes 760.
+        """
         topo = self.topo
         params = self.params
         vcs = params.virtual_channels
-        slots0 = params.buffer_packets
+        n_link = 2 * len(pairs)
+        n_term = topo.num_terminals
+        leaves = [topo.terminal_switch(t) for t in range(n_term)]
 
-        self.ch_kind: list[int] = []
-        self.ch_src: list[int] = []
-        self.ch_dst: list[int] = []
-        self.ch_peer: list[int] = []
-        self.ch_busy: list[int] = []
-        self.ch_queues: list[list | None] = []
-        self.ch_slots: list[list[int] | None] = []
-        self.ch_blocked: list[int] = []
-        self.ch_busy_cycles: list[int] = []
+        src = np.empty(n_link + 2 * n_term, dtype=np.int64)
+        dst = np.empty_like(src)
+        src[0:n_link:2] = dst[1:n_link:2] = pairs[:, 0]
+        src[1:n_link:2] = dst[0:n_link:2] = pairs[:, 1]
+        src[n_link::2] = dst[n_link + 1 :: 2] = -1
+        src[n_link + 1 :: 2] = dst[n_link::2] = leaves
+        peer = dst.copy()
+        peer[n_link:] = np.repeat(np.arange(n_term), 2)
+        n_ch = len(src)
+
+        self.ch_kind: list[int] = [_LINK] * n_link + [_INJECT, _EJECT] * n_term
+        self.ch_src: list[int] = src.tolist()
+        self.ch_dst: list[int] = dst.tolist()
+        self.ch_peer: list[int] = peer.tolist()
+        self.ch_busy: list[int] = [0] * n_ch
+        self.ch_blocked: list[int] = [0] * n_ch
+        self.ch_busy_cycles: list[int] = [0] * n_ch
+        terminal_queues: list[list | None] = [None] * (2 * n_term)
+        terminal_queues[::2] = [[[]] for _ in range(n_term)]
+        self.ch_queues: list[list | None] = [
+            [[] for _ in range(vcs)] for _ in range(n_link)
+        ] + terminal_queues
+        self.ch_slots: list[list[int] | None] = [
+            [params.buffer_packets] * vcs for _ in range(n_link)
+        ] + [None] * (2 * n_term)
         self.max_inject_queue = 0
 
-        def add_channel(kind: int, src: int, dst: int, peer: int) -> int:
-            cid = len(self.ch_kind)
-            self.ch_kind.append(kind)
-            self.ch_src.append(src)
-            self.ch_dst.append(dst)
-            self.ch_peer.append(peer)
-            self.ch_busy.append(0)
-            self.ch_blocked.append(0)
-            self.ch_busy_cycles.append(0)
-            if kind == _LINK:
-                self.ch_queues.append([deque() for _ in range(vcs)])
-                self.ch_slots.append([slots0] * vcs)
-            elif kind == _INJECT:
-                self.ch_queues.append([deque()])
-                self.ch_slots.append(None)
-            else:
-                self.ch_queues.append(None)
-                self.ch_slots.append(None)
-            return cid
-
+        link_dst = self.ch_dst[:n_link]
+        # A pair listed twice maps to its last channel.
+        self.link_channel: dict[tuple[int, int], int] = dict(
+            zip(zip(self.ch_src[:n_link], link_dst), range(n_link))
+        )
+        self.inject_channel: list[int] = list(range(n_link, n_ch, 2))
+        self.eject_channel: list[int] = list(range(n_link + 1, n_ch, 2))
         n_sw = topo.num_switches
         self.in_units: list[list[tuple[int, int]]] = [[] for _ in range(n_sw)]
-        self.link_channel: dict[tuple[int, int], int] = {}
-        for link in topo.links():
-            if link in removed:
-                continue
-            for a, b in ((link.lo, link.hi), (link.hi, link.lo)):
-                cid = add_channel(_LINK, a, b, b)
-                self.link_channel[(a, b)] = cid
-                for vc in range(vcs):
-                    self.in_units[b].append((cid, vc))
-
-        self.inject_channel: list[int] = []
-        self.eject_channel: list[int] = []
-        for terminal in range(topo.num_terminals):
-            leaf = topo.terminal_switch(terminal)
-            cid = add_channel(_INJECT, -1, leaf, terminal)
-            self.inject_channel.append(cid)
+        vc_range = range(vcs)
+        for cid, b in enumerate(link_dst):
+            self.in_units[b].extend([(cid, vc) for vc in vc_range])
+        for cid, leaf in zip(self.inject_channel, leaves):
             self.in_units[leaf].append((cid, 0))
-            self.eject_channel.append(add_channel(_EJECT, leaf, -1, terminal))
 
         # Flat-id decomposition caches for folded Clos routing.
         if not self._direct:
-            self.level_of = [0] * n_sw
-            self.index_of = [0] * n_sw
-            for s in range(n_sw):
-                level, index = topo.switch_level(s)
-                self.level_of[s] = level
-                self.index_of[s] = index
             self.level_offsets = [
                 topo.switch_id(level, 0) for level in range(topo.num_levels)
             ]
+            self.level_of = [0] * n_sw
+            self.index_of = [0] * n_sw
+            for level, (first, size) in enumerate(
+                zip(self.level_offsets, topo.level_sizes)
+            ):
+                self.level_of[first : first + size] = [level] * size
+                self.index_of[first : first + size] = range(size)
 
     # ------------------------------------------------------------------
     # Virtual-channel classes
@@ -717,7 +756,7 @@ class Simulator:
         latency = params.link_latency
         rng = self.rng
 
-        self.ch_queues[in_cid][in_vc].popleft()
+        del self.ch_queues[in_cid][in_vc][0]
         self.ch_busy[out] = time + phits
         # Utilization accounting: busy cycles within the measurement
         # window (clipped at both ends).

@@ -13,10 +13,11 @@ reference engine:
   table keyed by the intermediate leaf) into a
   :class:`~repro.routing.table.CsrTable`: ``int64`` offsets,
   ``int32`` channel-id values and ``uint8`` flags.  The hot loop then
-  finds a head packet's candidates with one multiply and one list
-  index instead of a router call per hop -- and, crucially, per
-  *blocked* hop re-evaluation, which the arbitration loop performs
-  every cycle a packet waits.  On folded Clos networks the table is
+  finds a head packet's candidates with one multiply and one dict
+  lookup (:class:`~repro.routing.table.CandidateRows` lists a key's
+  row the first time it is read) instead of a router call per hop --
+  and, crucially, per *blocked* hop re-evaluation, which the
+  arbitration loop performs every cycle a packet waits.  On folded Clos networks the table is
   derived with numpy from the router's packed ``U_j`` reach masks, a
   few whole-array passes per level instead of a router call per
   (switch, leaf) key (see :func:`_folded_clos_table`).
@@ -55,7 +56,7 @@ import math
 
 import numpy as np
 
-from ..routing.table import CsrTable
+from ..routing.table import CandidateRows, CsrTable
 from .packet import Packet
 from .stats import SimResult, SimStats
 
@@ -379,13 +380,14 @@ def run_fast(sim) -> SimResult:
 
     # ---- precomputation pass -------------------------------------------
     table = build_candidate_table(sim)
-    cand_lists = table.to_lists()
+    # Rows are listed on first read; a run touches a fraction of keys.
+    cand_lists = CandidateRows(table)
     n_dests = table.num_dests
     # A (source switch, dest) pair is routable unless flagged; replaces
     # the reference's per-packet min_ascent / reachable() injection
-    # checks with one list index (identical truth table by
+    # checks with one byte index (identical truth table by
     # construction of the flags).
-    routable = (table.flags != CsrTable.UNROUTABLE).tolist()
+    routable = (table.flags != CsrTable.UNROUTABLE).tobytes()
 
     ch_src = sim.ch_src
     ch_dst = sim.ch_dst
@@ -644,7 +646,7 @@ def run_fast(sim) -> SimResult:
                             cid, vc, packet, queue = choice(contenders)
 
                         # ==== mirrors Simulator._grant ===================
-                        queue.popleft()
+                        del queue[0]
                         busy_until = t + phits
                         ch_busy[out] = busy_until
                         lo = t if t > warmup else warmup

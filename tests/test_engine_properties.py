@@ -12,6 +12,12 @@ contracts:
   delivered, still queued somewhere in the network, or dropped as
   unroutable.  Checked on the fast and relaxed engines, on small
   random configurations and once each at the benchmark sizes.
+* **Credit and buffer bounds** -- in the same runs, every hop leaves
+  its downstream VC with ``0 <= slots_left`` and at most
+  ``buffer_packets`` queued packets, and after the run every link VC
+  holds ``len(queue) + slots <= buffer_packets`` (credits in flight
+  make up the difference).  This is the bound that lets a plain list
+  serve as a VC buffer.
 * **Arbitration stability under input-unit permutation** -- permuting
   the per-switch input-unit order changes which packets the shared
   RNG stream favors, so it changes results; but it must change them
@@ -125,9 +131,12 @@ def test_latency_at_least_serialization(config):
 
 
 class ConservationObserver(SimObserver):
-    """Asserts the in-flight balance at every callback."""
+    """Asserts the in-flight balance and the credit bounds at every
+    callback."""
 
-    def __init__(self):
+    def __init__(self, buffer_packets):
+        self.buffer_packets = buffer_packets
+        self.hops = 0
         self.injected = 0
         self.ejected = 0
         self.dropped = 0
@@ -147,6 +156,14 @@ class ConservationObserver(SimObserver):
         self.ejected += 1
         self._tick(time)
 
+    def on_hop(self, time, packet, switch, downstream, vc, slots_left,
+               queue_len):
+        self.hops += 1
+        self._tick(time)
+        assert 0 <= slots_left, "granted a VC without credit"
+        assert 1 <= queue_len <= self.buffer_packets, "VC buffer overflow"
+        assert queue_len + slots_left <= self.buffer_packets
+
     def on_drop(self, time, terminal, packet):
         self.dropped += 1
         self._tick(time)
@@ -162,7 +179,18 @@ def queued_packets(sim):
     )
 
 
+def assert_credit_bounds(sim):
+    """Every link VC's queued packets plus its credits fit the buffer."""
+    bound = sim.params.buffer_packets
+    for queues, slots in zip(sim.ch_queues, sim.ch_slots):
+        if slots is None:
+            continue  # inject/eject channels carry no credits
+        for queue, free in zip(queues, slots, strict=True):
+            assert 0 <= free and len(queue) + free <= bound
+
+
 def assert_conserved(sim, obs, result):
+    assert_credit_bounds(sim)
     # Callback tallies agree with the aggregate counters...
     assert obs.ejected == result.delivered_packets
     assert obs.dropped == sim.unroutable_packets
@@ -177,7 +205,7 @@ def assert_conserved(sim, obs, result):
 @settings(max_examples=25, deadline=None)
 @given(config=engine_configs)
 def test_packet_conservation_every_cycle(engine, config):
-    obs = ConservationObserver()
+    obs = ConservationObserver(config["buffers"])
     _, sim = build(config, engine, observer=obs)
     assert_conserved(sim, obs, sim.run())
 
@@ -187,13 +215,14 @@ def test_packet_conservation_at_uniform_bench_size():
     engine -- the ``uniform_2k_exact`` benchmark run."""
     topo, _ = rfc_with_updown(16, 256, 3, rng=1)
     params = SimulationParams(measure_cycles=100, warmup_cycles=100, seed=1)
-    obs = ConservationObserver()
+    obs = ConservationObserver(params.buffer_packets)
     sim = Simulator(
         topo, make_traffic("uniform", topo.num_terminals, rng=1), 0.7,
         params, observer=obs,
     )
     result = sim.run()
     assert result.delivered_packets > 10_000
+    assert obs.hops > result.delivered_packets
     assert_conserved(sim, obs, result)
 
 
@@ -208,12 +237,13 @@ def test_packet_conservation_at_rpc_bench_size():
         "rpc", topo.num_terminals, seed=1, load=0.5, rpc_size=4,
         duration=params.horizon,
     )
-    obs = ConservationObserver()
+    obs = ConservationObserver(params.buffer_packets)
     sim = Simulator(
         topo, workload, nominal_load(workload, params), params, observer=obs
     )
     result = sim.run()
     assert result.delivered_packets > 10_000
+    assert obs.hops > result.delivered_packets
     assert_conserved(sim, obs, result)
 
 

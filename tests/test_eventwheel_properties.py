@@ -19,6 +19,7 @@
 """
 
 import heapq
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +28,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.rfc import radix_regular_rfc, rfc_with_updown
-from repro.routing.table import CsrTable
+from repro.routing.table import CandidateRows, CsrTable
 from repro.routing.updown import RoutingError, UpDownRouter
 from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator
@@ -377,8 +378,10 @@ def test_csr_table_matches_reference_direct(seed, faults):
             assert list(table.candidates(switch, dest)) == cands
 
 
-def test_to_lists_mirrors_arrays():
-    """The hot-loop list mirror must agree with the numpy arrays."""
+def test_candidate_rows_mirror_arrays():
+    """Every key of the lazily built rows equals the per-key list mirror
+    the exact engine used to build up front: the key's candidate slice
+    as a list, ``None`` on UNROUTABLE."""
     table = CsrTable.build(
         2,
         3,
@@ -387,15 +390,35 @@ def test_to_lists_mirrors_arrays():
             [] if (s, d) == (1, 2) else [s * 10 + d],
         ),
     )
-    lists = table.to_lists()
-    assert len(lists) == 6
-    for source in range(2):
-        for dest in range(3):
-            key = table.key(source, dest)
-            if table.flag(source, dest) == CsrTable.UNROUTABLE:
-                assert lists[key] is None
-            else:
-                assert lists[key] == list(table.candidates(source, dest))
+    rows = CandidateRows(table)
+    assert len(rows) == 0  # nothing is listed before it is read
+    assert [rows[key] for key in range(6)] == [[0], [1], [2], [10], [11], None]
+    assert len(rows) == 6
+    assert all(type(c) is int for key in range(5) for c in rows[key])
+
+
+def test_candidate_rows_match_simulator_table():
+    """On a faulted RFC's channel table (ROUTE, DELIVER and UNROUTABLE
+    keys), the rows read in scrambled order equal the CSR slices."""
+    topo, _ = rfc_with_updown(8, 16, 3, rng=7)
+    sim = Simulator(
+        topo,
+        make_traffic("uniform", topo.num_terminals, rng=1),
+        0.5,
+        SimulationParams(),
+        topo.links()[::3],
+    )
+    table = build_candidate_table(sim)
+    assert (table.flags == CsrTable.UNROUTABLE).any()
+    rows = CandidateRows(table)
+    keys = list(range(len(table.flags)))
+    random.Random(5).shuffle(keys)
+    for key in keys:
+        lo, hi = table.offsets[key], table.offsets[key + 1]
+        if table.flags[key] == CsrTable.UNROUTABLE:
+            assert rows[key] is None
+        else:
+            assert rows[key] == table.values[lo:hi].tolist()
 
 
 def test_source_of_value_expansion():

@@ -148,6 +148,15 @@ class TestCacheKey:
             SimulationParams(engine="reference"),
         ):
             assert cache_key(digest, "uniform", 0.5, params, 3) == expected
+        # So is the key of a point with a valid fault list.
+        links = topo.links()
+        assert cache_key(
+            digest, "uniform", 0.5, SimulationParams(), 3,
+            removed_links=(links[0], links[5]),
+        ) == (
+            "e093bbbf11429621eaed8604b3c5f193"
+            "3bb1b2f6a533a5f6b071bfd35726e908"
+        )
 
     def test_removed_links_order_irrelevant(self, cft_4_3):
         digest = topology_digest(cft_4_3)

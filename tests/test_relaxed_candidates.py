@@ -5,8 +5,8 @@ routability test is one byte per key from ``flags``, and its candidates
 come from a single int32 matrix (:func:`build_relaxed_candidates`) whose
 CSR rows :func:`build_padded_candidates` fills in place.  These tests
 pin that layout and make sure no run ever falls back to the per-key
-Python list mirror (:meth:`CsrTable.to_lists`) that the exact engines
-read.
+Python candidate lists (:class:`CandidateRows`) that the exact engine
+reads.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.accel.relaxed import (
     build_relaxed_candidates,
 )
 from repro.core.rfc import rfc_with_updown
-from repro.routing.table import CsrTable
+from repro.routing.table import CandidateRows, CsrTable
 from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator
 from repro.simulation.fastpath import build_candidate_table
@@ -92,10 +92,23 @@ def test_relaxed_candidates_cached_on_simulator(rfc_small):
 
 @pytest.fixture
 def no_list_mirror(monkeypatch):
-    def refuse(self):
-        raise AssertionError("relaxed engine built the per-key list mirror")
+    def refuse(self, table):
+        raise AssertionError("relaxed engine built per-key candidate lists")
 
-    monkeypatch.setattr(CsrTable, "to_lists", refuse)
+    monkeypatch.setattr(CandidateRows, "__init__", refuse)
+
+
+def eager_list_mirror(table: CsrTable) -> list:
+    """Every key's candidate list, built up front: what the exact
+    engine held before it built rows on first read."""
+    offsets = table.offsets.tolist()
+    values = table.values.tolist()
+    return [
+        None
+        if flag == CsrTable.UNROUTABLE
+        else values[offsets[key] : offsets[key + 1]]
+        for key, flag in enumerate(table.flags.tolist())
+    ]
 
 
 @pytest.mark.parametrize("network", ["folded", "valiant", "faulted", "direct"])
@@ -127,7 +140,7 @@ def test_relaxed_run_peak_memory_below_list_mirror():
 
     tracemalloc.start()
     try:
-        lists = table.to_lists()
+        lists = eager_list_mirror(table)
         mirror_bytes, _peak = tracemalloc.get_traced_memory()
         del lists
         tracemalloc.reset_peak()
