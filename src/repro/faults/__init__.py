@@ -5,7 +5,7 @@ from .disconnection import (
     disconnection_fraction,
     disconnection_trial,
 )
-from .removal import UnionFind, failure_threshold, shuffled_links
+from .removal import FailureOrder, UnionFind, failure_threshold, shuffled_links
 from .switches import (
     SwitchSurvival,
     links_of_switches,
@@ -25,6 +25,7 @@ __all__ = [
     "DisconnectionResult",
     "disconnection_fraction",
     "disconnection_trial",
+    "FailureOrder",
     "UnionFind",
     "failure_threshold",
     "shuffled_links",

@@ -46,7 +46,7 @@ def disconnection_trial(
     scope: str = "switches",
 ) -> int:
     """Failures needed to disconnect under one random failure order."""
-    order = shuffled_links(network, rng=rng)
+    pairs = shuffled_links(network, rng=rng).pairs.tolist()
     num_switches = network.num_switches
     if scope == "switches":
         watched = None
@@ -60,13 +60,13 @@ def disconnection_trial(
 
     def still_ok(k: int) -> bool:
         uf = UnionFind(num_switches)
-        for link in order[k:]:
-            uf.union(link.lo, link.hi)
+        for lo, hi in pairs[k:]:
+            uf.union(lo, hi)
         if watched is None:
             return uf.components == 1
         return uf.all_connected(watched)
 
-    return failure_threshold(len(order), still_ok)
+    return failure_threshold(len(pairs), still_ok)
 
 
 def disconnection_fraction(

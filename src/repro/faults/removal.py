@@ -7,31 +7,101 @@ failure sequence.  Because every property studied is *monotone* --
 once lost it cannot come back as more links fail -- thresholds along a
 fixed failure order can be located by binary search, which is what
 makes 100-trial averages at paper scale affordable.
+
+A failure order is a :class:`FailureOrder`: a row permutation of the
+topology's ``links_array()``, read as a sequence of :class:`Link`.
+:func:`shuffled_links` shuffles an index list rather than ``Link``
+objects; ``random.shuffle``'s swaps depend only on the list length,
+so the order and the RNG stream left behind are those of shuffling
+``network.links()`` in place.  Array consumers (the Fig. 11 threshold
+search, Table 3 union-find probes) read :attr:`FailureOrder.pairs`
+directly and never build a ``Link`` per cable.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from collections.abc import Sequence
+from typing import Callable, Iterator, overload
+
+import numpy as np
 
 from ..topologies.base import DirectNetwork, FoldedClos, Link
 
 __all__ = [
+    "FailureOrder",
     "shuffled_links",
     "failure_threshold",
     "UnionFind",
 ]
 
 
+class FailureOrder(Sequence[Link]):
+    """A read-only link failure order backed by an int32 pair array.
+
+    ``pairs`` is an ``(L, 2)`` array of flat switch ids with ``lo`` in
+    column 0 and ``hi`` in column 1 (``lo < hi``).  Indexing,
+    iteration and slices yield :class:`Link` objects built from Python
+    ints, so the order can stand wherever a ``list[Link]`` is read; a
+    slice is a plain ``list`` of ``Link``.  An order equals any
+    sequence of the same links in the same order.  Pickles as the
+    pair array (about 8 bytes per link).
+    """
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs) -> None:
+        view = np.asarray(pairs, dtype=np.int32).reshape(-1, 2).view()
+        if not (view[:, 0] < view[:, 1]).all():
+            raise ValueError("failure order pairs must satisfy lo < hi")
+        view.setflags(write=False)
+        self.pairs = view
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    @overload
+    def __getitem__(self, index: int) -> Link: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[Link]: ...
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [Link(lo, hi) for lo, hi in self.pairs[index].tolist()]
+        lo, hi = self.pairs[index].tolist()
+        return Link(lo, hi)
+
+    def __iter__(self) -> Iterator[Link]:
+        return (Link(lo, hi) for lo, hi in self.pairs.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FailureOrder):
+            return bool(np.array_equal(self.pairs, other.pairs))
+        if isinstance(other, Sequence):
+            return len(other) == len(self) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    def __reduce__(self):
+        return (FailureOrder, (self.pairs,))
+
+
 def shuffled_links(
     network: FoldedClos | DirectNetwork,
     rng: random.Random | int | None = None,
-) -> list[Link]:
-    """The network's links in a uniformly random failure order."""
+) -> FailureOrder:
+    """The network's links in a uniformly random failure order.
+
+    Same order, and same ``rng`` state afterwards, as
+    ``rng.shuffle(network.links())``.
+    """
     rand = rng if isinstance(rng, random.Random) else random.Random(rng)
-    links = network.links()
-    rand.shuffle(links)
-    return links
+    pairs = network.links_array()
+    perm = list(range(len(pairs)))
+    rand.shuffle(perm)
+    return FailureOrder(pairs[np.array(perm, dtype=np.intp)])
 
 
 def failure_threshold(

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import random
 import statistics
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .. import accel as _accel
 from ..core.ancestors import has_updown_routing, sweeper_of
 from ..topologies.base import FoldedClos, Link
-from .removal import failure_threshold, shuffled_links
+from .removal import FailureOrder, failure_threshold, shuffled_links
 
 __all__ = [
     "UpdownSurvival",
@@ -74,25 +75,41 @@ def _foreign_link(link: Link) -> ValueError:
     return ValueError(f"failure order holds {link}, not a link of the topology")
 
 
+def _order_pairs(order):
+    """``(lo, hi)`` int64 columns of a failure order.
+
+    A :class:`FailureOrder` hands over its pair array; any other
+    sequence of :class:`Link` is read link by link.
+    """
+    import numpy as np
+
+    if isinstance(order, FailureOrder):
+        pairs = order.pairs
+        return pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
+    count = len(order)
+    lo = np.fromiter((link.lo for link in order), dtype=np.int64, count=count)
+    hi = np.fromiter((link.hi for link in order), dtype=np.int64, count=count)
+    return lo, hi
+
+
 def _stage_failure_positions(
     topo: FoldedClos,
     sweeper: "_accel.StageSweeper",
-    order: list[Link],
+    order: Sequence[Link],
 ):
     """Failure-order index of every stage edge (``len(order)`` = never).
 
-    Maps the flat :class:`Link` failure order onto the sweeper's
-    per-stage edge arrays once, so each binary-search probe afterwards
-    is a single vectorized position comparison.  A link listed twice
-    fails at its first position.  Raises :class:`ValueError` naming the
-    first link of ``order`` that is not a link of ``topo``.
+    Maps the flat failure order onto the sweeper's per-stage edge
+    arrays once, so each binary-search probe afterwards is a single
+    vectorized position comparison.  A link listed twice fails at its
+    first position.  Raises :class:`ValueError` naming the first link
+    of ``order`` that is not a link of ``topo``.
     """
     import numpy as np
 
     never = len(order)
     n = topo.num_switches
-    lo = np.fromiter((link.lo for link in order), dtype=np.int64, count=never)
-    hi = np.fromiter((link.hi for link in order), dtype=np.int64, count=never)
+    lo, hi = _order_pairs(order)
     # Out-of-range ids get key -1, which no stage edge has.
     link_keys = np.where((lo >= 0) & (hi < n), lo * n + hi, -1)
     # return_index sorts stably, so ``first`` is each key's first position.
@@ -117,7 +134,7 @@ def _stage_failure_positions(
 
 
 def order_threshold(
-    topo: FoldedClos, order: list[Link], accel: bool = True
+    topo: FoldedClos, order: Sequence[Link], accel: bool = True
 ) -> int:
     """Failures tolerated along one fixed failure order.
 
@@ -135,9 +152,11 @@ def order_threshold(
     stage lists.  Thresholds are bit-for-bit identical to the
     reference path (``accel=False``).
 
-    ``order`` may be a prefix of a full failure order; a link of
-    ``order`` that is not a link of ``topo`` raises :class:`ValueError`
-    on both paths.
+    ``order`` is a :class:`~repro.faults.removal.FailureOrder`, whose
+    pair array the accelerated path reads directly, or any sequence of
+    :class:`Link`.  It may be a prefix of a full failure order; a link
+    of ``order`` that is not a link of ``topo`` raises
+    :class:`ValueError` on both paths.
     """
     sizes = topo.level_sizes
 
@@ -194,7 +213,8 @@ def updown_fault_tolerance(
     serial trial loop -- and the monotone-threshold searches (the
     expensive part) then run through ``executor`` (the ambient
     :mod:`repro.exec` executor when None), which may fan them across
-    worker processes.
+    worker processes.  Each order ships to a worker as its int32 pair
+    array.
     """
     from ..exec import get_executor
 

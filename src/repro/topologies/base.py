@@ -272,9 +272,10 @@ class FoldedClos:
         Fault injection identifies cables by position in this list.
 
         The enumeration is memoized (the topology is immutable after
-        construction) but each call returns a **fresh list** -- callers
-        such as :func:`repro.faults.removal.shuffled_links` shuffle the
-        result in place.
+        construction) but each call returns a **fresh list** that
+        callers may mutate.  Failure orders are drawn from
+        :meth:`links_array` instead (see
+        :func:`repro.faults.removal.shuffled_links`).
         """
         if self._links_cache is None:
             out: list[Link] = []

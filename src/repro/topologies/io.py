@@ -62,9 +62,53 @@ def to_json(network: FoldedClos | DirectNetwork) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+_SHAPES = (
+    "an integer",
+    "a list of integers",
+    "a list of integer lists",
+    "a list of lists of integer lists",
+)
+
+
+def _nested_ints(value, depth: int) -> bool:
+    """Whether ``value`` is ``depth`` levels of lists around ints."""
+    if depth == 0:
+        return type(value) is int  # JSON true/false are not sizes
+    return isinstance(value, list) and all(
+        _nested_ints(item, depth - 1) for item in value
+    )
+
+
+def _field(payload: dict, key: str, depth: int):
+    """``payload[key]``, checked to be ``depth`` lists deep of ints."""
+    if key not in payload:
+        raise NetworkError(f"topology JSON lacks field {key!r}")
+    value = payload[key]
+    if not _nested_ints(value, depth):
+        raise NetworkError(f"topology JSON field {key!r} must be {_SHAPES[depth]}")
+    return value
+
+
+def _name(payload: dict, default: str) -> str:
+    name = payload.get("name", default)
+    if not isinstance(name, str):
+        raise NetworkError("topology JSON field 'name' must be a string")
+    return name
+
+
 def from_json(text: str) -> FoldedClos | DirectNetwork:
-    """Rebuild a topology from :func:`to_json` output."""
+    """Rebuild a topology from :func:`to_json` output.
+
+    Raises :class:`json.JSONDecodeError` on text that is not JSON and
+    :class:`NetworkError` on JSON that is not a topology: not an
+    object, wrong format version or kind, a missing or wrongly typed
+    field (named in the message), or wiring the topology rejects.
+    """
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise NetworkError(
+            f"topology JSON must be an object, got {type(payload).__name__}"
+        )
     version = payload.get("format")
     if version != FORMAT_VERSION:
         raise NetworkError(
@@ -74,17 +118,17 @@ def from_json(text: str) -> FoldedClos | DirectNetwork:
     kind = payload.get("kind")
     if kind == "folded-clos":
         return FoldedClos(
-            payload["level_sizes"],
-            payload["up_adjacency"],
-            hosts_per_leaf=payload["hosts_per_leaf"],
-            radix=payload["radix"],
-            name=payload.get("name", "folded-clos"),
+            _field(payload, "level_sizes", 1),
+            _field(payload, "up_adjacency", 3),
+            hosts_per_leaf=_field(payload, "hosts_per_leaf", 0),
+            radix=_field(payload, "radix", 0),
+            name=_name(payload, "folded-clos"),
         )
     if kind == "direct":
         return DirectNetwork(
-            payload["adjacency"],
-            hosts_per_switch=payload["hosts_per_switch"],
-            name=payload.get("name", "direct"),
+            _field(payload, "adjacency", 2),
+            hosts_per_switch=_field(payload, "hosts_per_switch", 0),
+            name=_name(payload, "direct"),
         )
     raise NetworkError(f"unknown topology kind {kind!r}")
 

@@ -224,7 +224,7 @@ class TestOrderThreshold:
             "skips-level": Link(topo.switch_id(0, 0), topo.switch_id(2, 0)),
             "out-of-range": Link(0, topo.num_switches + 3),
         }[kind]
-        order = shuffled_links(topo, rng=1)
+        order = list(shuffled_links(topo, rng=1))
         order.insert(7, foreign)
         order.insert(11, Link(topo.num_switches + 9, topo.num_switches + 10))
         with pytest.raises(ValueError, match=re.escape(str(foreign))):

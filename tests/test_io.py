@@ -104,3 +104,118 @@ class TestTextFormats:
         dot = to_dot(rrn_16)
         assert "rank=same" not in dot
         assert dot.count(" -- ") == rrn_16.num_links
+
+
+def _json_values(max_int=40):
+    """Arbitrary JSON values with small integers."""
+    from hypothesis import strategies as st
+
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers(-3, max_int)
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=8)
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+        max_leaves=12,
+    )
+
+
+class TestMalformedJson:
+    """Bad input raises ``NetworkError`` naming what is wrong."""
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"x"', "null"])
+    def test_non_object(self, text):
+        with pytest.raises(NetworkError, match="must be an object"):
+            from_json(text)
+
+    @pytest.mark.parametrize(
+        "field", ["level_sizes", "up_adjacency", "hosts_per_leaf", "radix"]
+    )
+    def test_missing_folded_field(self, cft_4_3, field):
+        payload = json.loads(to_json(cft_4_3))
+        del payload[field]
+        with pytest.raises(NetworkError, match=f"lacks field '{field}'"):
+            from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("field", ["adjacency", "hosts_per_switch"])
+    def test_missing_direct_field(self, rrn_16, field):
+        payload = json.loads(to_json(rrn_16))
+        del payload[field]
+        with pytest.raises(NetworkError, match=f"lacks field '{field}'"):
+            from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("level_sizes", [2, "x"]),
+            ("level_sizes", 4),
+            ("up_adjacency", [[[0, 1.5]]]),
+            ("hosts_per_leaf", "2"),
+            ("radix", True),
+            ("name", 7),
+        ],
+    )
+    def test_wrongly_typed_folded_field(self, cft_4_3, field, value):
+        payload = json.loads(to_json(cft_4_3))
+        payload[field] = value
+        with pytest.raises(NetworkError, match=f"field '{field}'"):
+            from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("adjacency", [[1], None]), ("hosts_per_switch", [1])],
+    )
+    def test_wrongly_typed_direct_field(self, rrn_16, field, value):
+        payload = json.loads(to_json(rrn_16))
+        payload[field] = value
+        with pytest.raises(NetworkError, match=f"field '{field}'"):
+            from_json(json.dumps(payload))
+
+    def test_fuzz_text(self):
+        from hypothesis import given
+        from hypothesis import strategies as st
+
+        @given(st.text(max_size=40) | _json_values().map(json.dumps))
+        def check(text):
+            try:
+                from_json(text)
+            except (NetworkError, json.JSONDecodeError):
+                pass
+
+        check()
+
+    def test_fuzz_mutated_payloads(self, cft_4_3, rfc_small, rrn_16):
+        from hypothesis import given
+        from hypothesis import strategies as st
+
+        payloads = [json.loads(to_json(t)) for t in (cft_4_3, rfc_small, rrn_16)]
+
+        @given(st.sampled_from(payloads), st.data())
+        def check(original, data):
+            payload = json.loads(json.dumps(original))
+            # Walk a random path into the payload, then replace or
+            # delete what is there.
+            parent, key = None, None
+            node = payload
+            while isinstance(node, (dict, list)) and node:
+                keys = sorted(node) if isinstance(node, dict) else range(len(node))
+                parent, key = node, data.draw(st.sampled_from(list(keys)))
+                node = parent[key]
+                if data.draw(st.booleans()):
+                    break
+            if parent is not None:
+                if data.draw(st.booleans()):
+                    del parent[key]
+                else:
+                    parent[key] = data.draw(_json_values())
+            try:
+                from_json(json.dumps(payload))
+            except NetworkError:
+                pass
+
+        check()
