@@ -23,11 +23,33 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 __all__ = ["main", "build_parser"]
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type`` for integers ``>= minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .experiments import EXPERIMENTS
+
     parser = argparse.ArgumentParser(
         prog="repro-rfc",
         description=(
@@ -142,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write flow_complete JSONL records to PATH")
 
     exp = sub.add_parser("experiment", help="reproduce a paper table/figure")
-    exp.add_argument("name", help="experiment id (fig5, tab3, ...) or 'all'")
+    exp.add_argument("name", choices=[*sorted(EXPERIMENTS), "all"],
+                     help="experiment id (fig5, tab3, ...) or 'all'")
     exp.add_argument("--full", action="store_true",
                      help="full-scale parameters (slow)")
     exp.add_argument("--seed", type=int, default=0)
@@ -169,7 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument("path", help="topology JSON from 'export'")
     rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--fault-trials", type=int, default=5)
+    rep.add_argument("--fault-trials", type=_int_at_least(0), default=5,
+                     help="random failure orders for the fault sweep "
+                          "(0 skips it)")
 
     div = sub.add_parser(
         "diversity", help="path-diversity census of an RFC or CFT"
@@ -178,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     div.add_argument("--radix", type=int, default=12)
     div.add_argument("--levels", type=int, default=3)
     div.add_argument("--leaves", type=int, default=0)
-    div.add_argument("--pairs", type=int, default=200)
+    div.add_argument("--pairs", type=_int_at_least(1), default=200)
     div.add_argument("--seed", type=int, default=0)
 
     lint = sub.add_parser(
@@ -189,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "lint_args", nargs=argparse.REMAINDER,
         help="arguments forwarded to 'python -m repro.lint' "
-             "(paths, --format, --baseline, --changed-only, ...)",
+             "(paths, --format {text,json})",
     )
 
     export = sub.add_parser(
@@ -608,7 +633,14 @@ def main(argv: list[str] | None = None) -> int:
         "diversity": _cmd_diversity,
         "export": _cmd_export,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ValueError, OSError) as exc:
+        # Bad inputs (a load outside (0, 1], an odd radix, a missing
+        # topology file) fail with one line naming the input, not a
+        # traceback; NetworkError is a ValueError.
+        print(f"repro-rfc {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -176,10 +176,10 @@ class Executor:
                 # id() is only an intra-process memo key so each shared
                 # topology object is serialized once per batch; the
                 # content digest, never the id, enters the cache key.
-                digest = digests.get(id(task.topo))  # repro: allow-RPR002 -- memo key only; digest is content-addressed
+                digest = digests.get(id(task.topo))
                 if digest is None:
                     digest = topology_digest(task.topo)
-                    digests[id(task.topo)] = digest  # repro: allow-RPR002 -- memo key only; digest is content-addressed
+                    digests[id(task.topo)] = digest
                 keys[i] = cache_key(
                     digest,
                     task.traffic_name,

@@ -21,20 +21,14 @@ code      hazard
 RPR001    unseeded RNG (``random.*`` module globals, legacy
           ``np.random.*``, ``default_rng()`` / ``Random()`` with no
           seed)
-RPR002    builtin ``hash()`` / ``id()`` flowing into cache keys,
-          seeds or sort keys (``PYTHONHASHSEED`` nondeterminism)
 RPR003    ``set`` iteration feeding RNG draws, ordered accumulation
           or serialization
 RPR004    wall-clock / entropy sources on cache-key or
           seed-derivation paths
-RPR005    lambdas or nested closures submitted to a process pool
-          (unpicklable under spawn)
-RPR006    mutable default arguments in public API functions
 ========  ==========================================================
 
-Since the whole-program layer landed, a second registry of *project*
-checkers runs once over the resolved import/call graph
-(:mod:`repro.lint.graph`) after the per-file phase:
+A second registry of *project* checkers runs once over the resolved
+import/call graph (:mod:`repro.lint.graph`) after the per-file phase:
 
 ========  ==========================================================
 code      invariant
@@ -44,10 +38,8 @@ RPR101    every ``SimulationParams``/``SimResult`` field consumed by
           policy
 RPR102    numpy integer-width hazards (int32 overflow, uint64/signed
           mixing) in kernel code
-RPR103    wall-clock/env/RNG impurity reaching cache-key or seed
-          derivation through *any* call chain
-RPR104    code reachable from observer hooks writing engine state or
-          advancing RNG streams
+RPR103    wall-clock/env/RNG/``hash()`` impurity reaching cache-key or
+          seed derivation through *any* call chain
 RPR105    relaxed ``rng_mode`` results reaching a cache key or pinned
           comparison without the mode recorded
 ========  ==========================================================
@@ -55,10 +47,8 @@ RPR105    relaxed ``rng_mode`` results reaching a cache key or pinned
 Run it as ``python -m repro.lint src`` or ``repro-rfc lint``; exit
 status is 1 whenever findings remain and 2 on internal errors.
 Intentional uses are waived per line with
-``# repro: allow-<code> -- <justification>``; ``--format sarif``
-emits SARIF 2.1.0 for code scanning, ``--baseline`` subtracts known
-findings and ``--cache-dir`` makes re-runs incremental.  See
-``docs/LINTING.md`` for the full catalogue with examples.
+``# repro: allow-<code> -- <justification>``.  See ``docs/LINTING.md``
+for the full catalogue with examples.
 """
 
 from __future__ import annotations
@@ -72,31 +62,20 @@ from .base import (
     register,
     register_project,
 )
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .cache import AnalysisCache, analyzer_version
 from .context import FileContext
 from .dataflow import TaintEngine, TaintHit
-from .findings import Finding, Severity
-from .graph import (
-    ModuleSummary,
-    ProjectGraph,
-    build_project,
-    summarize_module,
-)
+from .findings import Finding
+from .graph import ModuleSummary, ProjectGraph, summarize_module
 from .runner import (
     LintReport,
     format_findings,
-    lint_file,
-    lint_paths,
     lint_source,
     main,
     run_analysis,
 )
-from .sarif import format_sarif, to_sarif
 from .suppressions import parse_suppressions
 
 __all__ = [
-    "AnalysisCache",
     "Checker",
     "FileContext",
     "Finding",
@@ -104,27 +83,17 @@ __all__ = [
     "ModuleSummary",
     "ProjectChecker",
     "ProjectGraph",
-    "Severity",
     "TaintEngine",
     "TaintHit",
     "all_checkers",
     "all_project_checkers",
-    "analyzer_version",
-    "apply_baseline",
-    "build_project",
     "checker_codes",
     "format_findings",
-    "format_sarif",
-    "lint_file",
-    "lint_paths",
     "lint_source",
-    "load_baseline",
     "main",
     "parse_suppressions",
     "register",
     "register_project",
     "run_analysis",
     "summarize_module",
-    "to_sarif",
-    "write_baseline",
 ]

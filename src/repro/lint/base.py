@@ -24,7 +24,7 @@ import re
 from typing import TYPE_CHECKING, Iterator, Type
 
 from .context import FileContext
-from .findings import Finding, Severity
+from .findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .graph import ProjectGraph
@@ -55,7 +55,6 @@ class Checker:
 
     CODE: str = ""
     SUMMARY: str = ""
-    SEVERITY: Severity = Severity.ERROR
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         """Yield findings for one file.  Must not mutate ``ctx``."""
@@ -69,7 +68,6 @@ class Checker:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             code=self.CODE,
-            severity=self.SEVERITY,
             message=message,
         )
 
@@ -86,7 +84,6 @@ class ProjectChecker:
 
     CODE: str = ""
     SUMMARY: str = ""
-    SEVERITY: Severity = Severity.ERROR
 
     def check_project(self, project: "ProjectGraph") -> Iterator[Finding]:
         """Yield findings across the project.  Must not mutate it."""
@@ -102,7 +99,6 @@ class ProjectChecker:
             line=line,
             col=col,
             code=self.CODE,
-            severity=self.SEVERITY,
             message=message,
         )
 

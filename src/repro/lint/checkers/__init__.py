@@ -8,29 +8,19 @@ imported without side effects.
 from __future__ import annotations
 
 from .rpr001_unseeded_rng import UnseededRngChecker
-from .rpr002_hash_id import HashIdKeyChecker
 from .rpr003_set_iteration import SetIterationChecker
 from .rpr004_wallclock import WallClockChecker
-from .rpr005_pool_closures import PoolClosureChecker
-from .rpr006_mutable_defaults import MutableDefaultChecker
-from .rpr007_scalar_loops import ScalarLoopChecker
 from .rpr101_engine_parity import EngineParityChecker
 from .rpr102_dtype_width import DtypeWidthChecker
 from .rpr103_cachekey_taint import CacheKeyTaintChecker
-from .rpr104_observer_writes import ObserverWriteChecker
 from .rpr105_relaxed_rng import RelaxedRngChecker
 
 __all__ = [
     "UnseededRngChecker",
-    "HashIdKeyChecker",
     "SetIterationChecker",
     "WallClockChecker",
-    "PoolClosureChecker",
-    "MutableDefaultChecker",
-    "ScalarLoopChecker",
     "EngineParityChecker",
     "DtypeWidthChecker",
     "CacheKeyTaintChecker",
-    "ObserverWriteChecker",
     "RelaxedRngChecker",
 ]

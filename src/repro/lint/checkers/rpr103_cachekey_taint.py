@@ -1,7 +1,7 @@
 """RPR103: impurity reaching key/seed derivation through any call chain.
 
-RPR002 and RPR004 are per-file: they catch ``time.time()`` written
-*inside* the cache layer.  One helper of indirection defeats them --
+RPR004 is per-file: it catches ``time.time()`` written *inside* the
+cache layer.  One helper of indirection defeats it --
 ``cache_key`` calling a utility in another module that reads the
 environment builds keys that differ between hosts, and no single file
 looks wrong.  This pass runs the interprocedural taint engine

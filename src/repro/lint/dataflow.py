@@ -1,7 +1,7 @@
 """Interprocedural taint over the project call graph.
 
-RPR002 and RPR004 ask "does an impure value appear *in this file* near
-key material?"; one helper function of indirection defeats them.  The
+RPR004 asks "does an impure call appear *in this exec file* or key
+function?"; one helper function of indirection defeats it.  The
 taint engine upgrades the question to "can an impure *call* execute
 anywhere below a key-construction root?" -- a reachability problem on
 :class:`~repro.lint.graph.ProjectGraph`:
@@ -125,12 +125,6 @@ class TaintEngine:
                 if reason is not None:
                     hits.append((canonical, reason, site))
             self._direct[qualified] = tuple(hits)
-
-    def direct_sources(
-        self, qualified: str
-    ) -> tuple[tuple[str, str, CallSite], ...]:
-        """(canonical source, reason, site) called directly by a function."""
-        return self._direct.get(qualified, ())
 
     def tainted_functions(self) -> set[str]:
         """Every function that can execute an impure source call,

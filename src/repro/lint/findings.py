@@ -1,26 +1,13 @@
-"""The lint result model: :class:`Severity` and :class:`Finding`."""
+"""The lint result model: :class:`Finding`.
+
+Every finding fails the gate: nondeterminism in a reproduction is a
+correctness bug, not a style preference, so there are no severities.
+"""
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
-
-
-class Severity(enum.Enum):
-    """How bad a finding is.
-
-    ``ERROR`` findings fail the gate (non-zero exit); ``WARNING``
-    findings are reported but do not fail by themselves.  Every
-    shipped determinism checker emits ``ERROR`` -- nondeterminism in
-    a reproduction is a correctness bug, not a style preference.
-    """
-
-    WARNING = "warning"
-    ERROR = "error"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True, order=True)
@@ -36,17 +23,11 @@ class Finding:
     line: int
     col: int
     code: str
-    # Excluded from ordering: enum members define no '<', and the code
-    # already determines the severity for every shipped checker.
-    severity: Severity = field(compare=False)
     message: str
 
     def render(self) -> str:
-        """``file:line:col: CODE [severity] message`` (text format)."""
-        return (
-            f"{self.file}:{self.line}:{self.col}: "
-            f"{self.code} [{self.severity}] {self.message}"
-        )
+        """``file:line:col: CODE message`` (text format)."""
+        return f"{self.file}:{self.line}:{self.col}: {self.code} {self.message}"
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready mapping (used by ``--format json``)."""
@@ -55,10 +36,13 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "code": self.code,
-            "severity": str(self.severity),
             "message": self.message,
         }
 
 
 #: Code used for files that cannot be parsed at all.
 PARSE_ERROR_CODE = "RPR000"
+
+#: Code reported for a waiver with no written justification or one
+#: naming a code no checker owns.
+UNJUSTIFIED_CODE = "RPR999"

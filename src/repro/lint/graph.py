@@ -1,17 +1,14 @@
 """Whole-program model: per-module summaries and the project call graph.
 
-PR 2's checkers see one file at a time, which is exactly why they
+File checkers see one file at a time, which is exactly why they
 cannot express this repository's hardest invariants -- "every engine
 consumes every knob", "nothing impure reaches the cache key through
 *any* call chain".  This module builds the cross-module view those
 passes run on:
 
-* :class:`ModuleSummary` -- one JSON-serializable digest of a parsed
-  module: functions with their call sites / attribute reads / foreign
-  writes, classes with their (dataclass) fields, canonicalized
-  imports, string-set constants and suppression comments.  Summaries
-  are what the incremental cache (:mod:`repro.lint.cache`) persists,
-  keyed by content hash, so re-runs only re-parse edited files.
+* :class:`ModuleSummary` -- one digest of a parsed module: functions
+  with their call sites and attribute reads, classes with their
+  (dataclass) fields, canonicalized imports and string-set constants.
 * :class:`ProjectGraph` -- the summaries of every linted file plus a
   resolved call graph over them: edges between project functions
   (``module.Class.method`` qualnames) and canonical external callee
@@ -26,56 +23,22 @@ miss, never hallucinate, which is the right default for a CI gate.
 from __future__ import annotations
 
 import ast
-import hashlib
-from dataclasses import dataclass, field
-from pathlib import Path, PurePath
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+from .context import FileContext, module_name_for
 
 __all__ = [
     "CallSite",
-    "WriteSite",
     "FieldSummary",
     "ClassSummary",
     "FunctionSummary",
     "ModuleSummary",
     "ProjectGraph",
-    "build_project",
     "module_name_for",
-    "source_digest",
+    "summarize_context",
     "summarize_module",
 ]
-
-#: Method names whose call on an object mutates it in place.
-MUTATOR_METHODS = frozenset({
-    "append", "appendleft", "add", "extend", "insert", "update",
-    "setdefault", "pop", "popitem", "popleft", "remove", "discard",
-    "clear", "sort", "reverse", "__setitem__",
-})
-
-
-def source_digest(source: str) -> str:
-    """Content hash the incremental cache keys summaries by."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def module_name_for(path: str | Path) -> tuple[str, bool]:
-    """Dotted module name for a file, by walking up ``__init__.py``s.
-
-    Returns ``(name, is_package)``.  A file outside any package keeps
-    its bare stem, so fixture files in a temp directory still get
-    stable, collision-free names.
-    """
-    path = Path(path)
-    is_package = path.name == "__init__.py"
-    parts: list[str] = [] if is_package else [path.stem]
-    parent = path.parent
-    while (parent / "__init__.py").is_file():
-        parts.insert(0, parent.name)
-        parent = parent.parent
-    if not parts:
-        parts = [path.parent.name or path.stem]
-    return ".".join(parts), is_package
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -94,49 +57,6 @@ class CallSite:
     keywords: tuple[str, ...] = ()
     str_arg: str | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "target": self.target, "lineno": self.lineno, "col": self.col,
-            "keywords": list(self.keywords), "str_arg": self.str_arg,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CallSite":
-        return cls(
-            target=data["target"], lineno=data["lineno"], col=data["col"],
-            keywords=tuple(data["keywords"]), str_arg=data["str_arg"],
-        )
-
-
-@dataclass(frozen=True)
-class WriteSite:
-    """A store through a name: ``root.attr = ...``, ``root[k] = ...``
-    or a mutating method call ``root.append(...)``.
-
-    ``attr`` is None for subscript stores; ``via_call`` marks mutator
-    method calls.  ``root`` is the leftmost name, after one level of
-    local aliasing (``s = sim; s.x = 1`` reports root ``sim``).
-    """
-
-    root: str
-    attr: str | None
-    lineno: int
-    col: int
-    via_call: bool = False
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "root": self.root, "attr": self.attr, "lineno": self.lineno,
-            "col": self.col, "via_call": self.via_call,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WriteSite":
-        return cls(
-            root=data["root"], attr=data["attr"], lineno=data["lineno"],
-            col=data["col"], via_call=data["via_call"],
-        )
-
 
 @dataclass(frozen=True)
 class FieldSummary:
@@ -150,17 +70,6 @@ class FieldSummary:
     compare: bool = True
     has_default: bool = False
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name, "lineno": self.lineno, "col": self.col,
-            "annotation": self.annotation, "compare": self.compare,
-            "has_default": self.has_default,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FieldSummary":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class ClassSummary:
@@ -172,23 +81,6 @@ class ClassSummary:
     fields: tuple[FieldSummary, ...]
     methods: tuple[str, ...]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name, "lineno": self.lineno,
-            "bases": list(self.bases),
-            "fields": [f.to_dict() for f in self.fields],
-            "methods": list(self.methods),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ClassSummary":
-        return cls(
-            name=data["name"], lineno=data["lineno"],
-            bases=tuple(data["bases"]),
-            fields=tuple(FieldSummary.from_dict(f) for f in data["fields"]),
-            methods=tuple(data["methods"]),
-        )
-
 
 @dataclass(frozen=True)
 class FunctionSummary:
@@ -198,36 +90,11 @@ class FunctionSummary:
     qualname: str
     lineno: int
     col: int
-    params: tuple[str, ...]
     calls: tuple[CallSite, ...]
     #: Attribute names read anywhere in the body (any receiver).
     attr_reads: frozenset[str]
     #: Attribute names read specifically off ``self``.
     self_reads: frozenset[str]
-    writes: tuple[WriteSite, ...]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name, "qualname": self.qualname,
-            "lineno": self.lineno, "col": self.col,
-            "params": list(self.params),
-            "calls": [c.to_dict() for c in self.calls],
-            "attr_reads": sorted(self.attr_reads),
-            "self_reads": sorted(self.self_reads),
-            "writes": [w.to_dict() for w in self.writes],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FunctionSummary":
-        return cls(
-            name=data["name"], qualname=data["qualname"],
-            lineno=data["lineno"], col=data["col"],
-            params=tuple(data["params"]),
-            calls=tuple(CallSite.from_dict(c) for c in data["calls"]),
-            attr_reads=frozenset(data["attr_reads"]),
-            self_reads=frozenset(data["self_reads"]),
-            writes=tuple(WriteSite.from_dict(w) for w in data["writes"]),
-        )
 
 
 @dataclass
@@ -236,48 +103,13 @@ class ModuleSummary:
 
     path: str
     module: str
-    sha256: str
-    is_package: bool
     imports: dict[str, str]
     functions: dict[str, FunctionSummary]
     classes: dict[str, ClassSummary]
     module_attr_reads: frozenset[str]
     #: Module-level ``NAME = {"a", "b"}`` string-collection constants.
     str_sets: dict[str, tuple[str, ...]]
-    shadowed_builtins: frozenset[str] = field(default_factory=frozenset)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "path": self.path, "module": self.module, "sha256": self.sha256,
-            "is_package": self.is_package, "imports": dict(self.imports),
-            "functions": {
-                q: f.to_dict() for q, f in sorted(self.functions.items())
-            },
-            "classes": {
-                q: c.to_dict() for q, c in sorted(self.classes.items())
-            },
-            "module_attr_reads": sorted(self.module_attr_reads),
-            "str_sets": {k: list(v) for k, v in sorted(self.str_sets.items())},
-            "shadowed_builtins": sorted(self.shadowed_builtins),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ModuleSummary":
-        return cls(
-            path=data["path"], module=data["module"], sha256=data["sha256"],
-            is_package=data["is_package"], imports=dict(data["imports"]),
-            functions={
-                q: FunctionSummary.from_dict(f)
-                for q, f in data["functions"].items()
-            },
-            classes={
-                q: ClassSummary.from_dict(c)
-                for q, c in data["classes"].items()
-            },
-            module_attr_reads=frozenset(data["module_attr_reads"]),
-            str_sets={k: tuple(v) for k, v in data["str_sets"].items()},
-            shadowed_builtins=frozenset(data["shadowed_builtins"]),
-        )
+    shadowed_builtins: frozenset[str]
 
 
 # ----------------------------------------------------------------------
@@ -294,45 +126,6 @@ def _dotted_path(node: ast.expr) -> str | None:
         return None
     parts.append(node.id)
     return ".".join(reversed(parts))
-
-
-def _resolve_import(
-    module: str, is_package: bool, level: int, target: str
-) -> str:
-    """Absolute dotted path of a (possibly relative) import source."""
-    if level == 0:
-        return target
-    parts = module.split(".")
-    if not is_package:
-        parts = parts[:-1]
-    if level > 1:
-        parts = parts[: max(0, len(parts) - (level - 1))]
-    base = ".".join(parts)
-    if not target:
-        return base
-    return f"{base}.{target}" if base else target
-
-
-def _import_table(
-    tree: ast.Module, module: str, is_package: bool
-) -> dict[str, str]:
-    """Local name -> absolute canonical dotted path, relatives resolved."""
-    table: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                table[local] = alias.name if alias.asname else local
-        elif isinstance(node, ast.ImportFrom):
-            source = _resolve_import(
-                module, is_package, node.level, node.module or ""
-            )
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                table[local] = f"{source}.{alias.name}" if source else alias.name
-    return table
 
 
 def _literal_str_set(node: ast.expr) -> tuple[str, ...] | None:
@@ -394,47 +187,12 @@ def _class_fields(node: ast.ClassDef) -> tuple[FieldSummary, ...]:
     return tuple(fields)
 
 
-def _write_root(node: ast.expr) -> tuple[str, str | None] | None:
-    """(root name, attr-or-None-for-subscript) of a store target."""
-    if isinstance(node, ast.Attribute):
-        root = _dotted_path(node.value)
-        if root is not None:
-            return root.split(".")[0], node.attr
-    elif isinstance(node, ast.Subscript):
-        root = _dotted_path(node.value)
-        if root is not None:
-            return root.split(".")[0], None
-    return None
-
-
 def _function_summary(
     node: ast.FunctionDef | ast.AsyncFunctionDef, qualname: str
 ) -> FunctionSummary:
-    params = tuple(
-        arg.arg
-        for arg in (
-            *node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
-            *((node.args.vararg,) if node.args.vararg else ()),
-            *((node.args.kwarg,) if node.args.kwarg else ()),
-        )
-    )
-    # One level of aliasing: locals assigned from a bare parameter name
-    # count as that parameter for foreign-write attribution.
-    aliases: dict[str, str] = {}
-    for sub in ast.walk(node):
-        if (
-            isinstance(sub, ast.Assign)
-            and isinstance(sub.value, ast.Name)
-            and sub.value.id in params
-        ):
-            for target in sub.targets:
-                if isinstance(target, ast.Name):
-                    aliases[target.id] = sub.value.id
-
     calls: list[CallSite] = []
     attr_reads: set[str] = set()
     self_reads: set[str] = set()
-    writes: list[WriteSite] = []
     for sub in ast.walk(node):
         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             attr_reads.add(sub.attr)
@@ -460,45 +218,14 @@ def _function_summary(
                     str_arg=str_arg,
                 )
             )
-            tail = target.rsplit(".", 1)
-            if len(tail) == 2 and tail[1] in MUTATOR_METHODS:
-                root = aliases.get(
-                    tail[0].split(".")[0], tail[0].split(".")[0]
-                )
-                writes.append(
-                    WriteSite(
-                        root=root, attr=tail[1],
-                        lineno=sub.lineno, col=sub.col_offset + 1,
-                        via_call=True,
-                    )
-                )
-        elif isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets: Sequence[ast.expr]
-            if isinstance(sub, ast.Assign):
-                targets = sub.targets
-            else:
-                targets = (sub.target,)
-            for tgt in targets:
-                hit = _write_root(tgt)
-                if hit is None:
-                    continue
-                root, attr = hit
-                writes.append(
-                    WriteSite(
-                        root=aliases.get(root, root), attr=attr,
-                        lineno=tgt.lineno, col=tgt.col_offset + 1,
-                    )
-                )
     return FunctionSummary(
         name=node.name,
         qualname=qualname,
         lineno=node.lineno,
         col=node.col_offset + 1,
-        params=params,
         calls=tuple(calls),
         attr_reads=frozenset(attr_reads),
         self_reads=frozenset(self_reads),
-        writes=tuple(writes),
     )
 
 
@@ -567,10 +294,12 @@ def summarize_module(
     """
     if tree is None:
         tree = ast.parse(source, filename=path)
-    if module is None:
-        module, is_package = module_name_for(path)
-    else:
-        is_package = PurePath(path).name == "__init__.py"
+    return summarize_context(FileContext(path, source, tree, module))
+
+
+def summarize_context(ctx: FileContext) -> ModuleSummary:
+    """Build a :class:`ModuleSummary` from an already-built context."""
+    tree = ctx.tree
     visitor = _ModuleVisitor()
     visitor.visit(tree)
     module_attr_reads = {
@@ -588,30 +317,15 @@ def summarize_module(
             values = _literal_str_set(stmt.value)
             if values is not None:
                 str_sets[stmt.targets[0].id] = values
-    shadowed = {
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef))
-    }
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            shadowed.add(node.id)
-        elif isinstance(node, ast.arg):
-            shadowed.add(node.arg)
     return ModuleSummary(
-        path=path,
-        module=module,
-        sha256=source_digest(source),
-        is_package=is_package,
-        imports=_import_table(tree, module, is_package),
+        path=ctx.path,
+        module=ctx.module,
+        imports=ctx.imports.aliases,
         functions=visitor.functions,
         classes=visitor.classes,
         module_attr_reads=frozenset(module_attr_reads),
         str_sets=str_sets,
-        shadowed_builtins=frozenset(shadowed),
+        shadowed_builtins=ctx.shadowed_builtins,
     )
 
 
@@ -783,8 +497,3 @@ class ProjectGraph:
         """(qualified name, module, function) over the whole project."""
         for qualified, (summary, fn) in self.functions.items():
             yield qualified, summary, fn
-
-
-def build_project(summaries: Iterable[ModuleSummary]) -> ProjectGraph:
-    """Convenience constructor mirroring the dataclass-style API."""
-    return ProjectGraph(summaries)

@@ -1,14 +1,11 @@
 """File discovery, checker execution, suppression and reporting.
 
-The run is two-phase now that project passes exist:
+The run is two-phase:
 
-1. **Per-file phase** -- each file is read, hashed, parsed, summarized
-   for the project graph and run through every file checker.  With
-   ``--cache-dir`` the whole per-file result is keyed by content hash
-   (:mod:`repro.lint.cache`), so an incremental run re-analyzes only
-   edited files.  Unparseable files become RPR000 findings and drop
-   out of the graph; a checker crash becomes an *internal error*
-   (exit 2), never a silent pass.
+1. **Per-file phase** -- each file is read, parsed, summarized for the
+   project graph and run through every file checker.  Unparseable
+   files become RPR000 findings and drop out of the graph; a checker
+   crash becomes an *internal error* (exit 2), never a silent pass.
 2. **Project phase** -- the summaries form a
    :class:`~repro.lint.graph.ProjectGraph` and every registered
    :class:`~repro.lint.base.ProjectChecker` (the RPR10x passes) runs
@@ -16,14 +13,11 @@ The run is two-phase now that project passes exist:
 
 Suppression is applied at report time to the merged finding stream,
 so a ``# repro: allow-RPR103 -- why`` waives a project finding
-exactly like a file finding, and *unjustified* waivers surface as
-RPR999.  ``--baseline`` subtracts known findings, ``--changed-only``
-narrows the report to files touched relative to a git ref (analysis
-still sees the whole tree -- cross-module passes need it), and
-``--format sarif`` emits SARIF 2.1.0 for code scanning.
+exactly like a file finding.  *Unjustified* waivers and waivers naming
+a code no checker owns surface as RPR999.
 
-Exit status: 0 clean, 1 when error-severity findings remain, 2 on
-usage or internal errors.
+Exit status: 0 clean, 1 when findings remain, 2 on usage or internal
+errors.
 """
 
 from __future__ import annotations
@@ -31,35 +25,32 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .base import Checker, ProjectChecker, all_checkers, all_project_checkers
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .cache import AnalysisCache, CacheEntry
+from .base import (
+    Checker,
+    ProjectChecker,
+    all_checkers,
+    all_project_checkers,
+    checker_codes,
+)
 from .context import FileContext
-from .findings import PARSE_ERROR_CODE, Finding, Severity
-from .graph import ModuleSummary, ProjectGraph, source_digest, summarize_module
-from .sarif import format_sarif
+from .findings import PARSE_ERROR_CODE, UNJUSTIFIED_CODE, Finding
+from .graph import ModuleSummary, ProjectGraph, summarize_context
 from .suppressions import Suppression, parse_suppressions
 
 __all__ = [
     "UNJUSTIFIED_CODE",
     "LintReport",
     "lint_source",
-    "lint_file",
-    "lint_paths",
     "run_analysis",
     "iter_python_files",
     "format_findings",
     "main",
 ]
-
-#: Code reported for an allow-comment with no written justification.
-UNJUSTIFIED_CODE = "RPR999"
 
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".ruff_cache", ".mypy_cache",
                         ".pytest_cache", "build", "dist"})
@@ -71,22 +62,14 @@ def _parse_error_finding(filename: str, exc: SyntaxError) -> Finding:
         line=exc.lineno or 1,
         col=(exc.offset or 0) + 1 if exc.offset is not None else 1,
         code=PARSE_ERROR_CODE,
-        severity=Severity.ERROR,
         message=f"cannot parse file: {exc.msg}",
     )
 
 
-def _unjustified_finding(filename: str, line: int) -> Finding:
+def _waiver_finding(filename: str, line: int, message: str) -> Finding:
     return Finding(
-        file=filename,
-        line=line,
-        col=1,
-        code=UNJUSTIFIED_CODE,
-        severity=Severity.ERROR,
-        message=(
-            "suppression without a written justification; use "
-            "'# repro: allow-<code> -- <reason>'"
-        ),
+        file=filename, line=line, col=1, code=UNJUSTIFIED_CODE,
+        message=message,
     )
 
 
@@ -94,7 +77,9 @@ def _apply_suppressions(
     findings: Iterable[Finding],
     waivers_by_file: Mapping[str, Mapping[int, Suppression]],
 ) -> list[Finding]:
-    """Drop waived findings; surface used-but-unjustified waivers."""
+    """Drop waived findings; surface used-but-unjustified waivers and
+    waivers naming a code no checker owns."""
+    known = {*checker_codes(), PARSE_ERROR_CODE, UNJUSTIFIED_CODE}
     kept: list[Finding] = []
     used: dict[str, set[int]] = {}
     for finding in findings:
@@ -106,7 +91,15 @@ def _apply_suppressions(
     for filename, waivers in waivers_by_file.items():
         for line, waiver in waivers.items():
             if line in used.get(filename, ()) and not waiver.justified:
-                kept.append(_unjustified_finding(filename, line))
+                kept.append(_waiver_finding(
+                    filename, line,
+                    "suppression without a written justification; use "
+                    "'# repro: allow-<code> -- <reason>'",
+                ))
+            for code in sorted(waiver.codes - known):
+                kept.append(_waiver_finding(
+                    filename, line, f"waiver names unknown code {code}"
+                ))
     return sorted(kept)
 
 
@@ -117,7 +110,7 @@ def lint_source(
 ) -> list[Finding]:
     """Per-file findings for one source buffer, suppression applied.
 
-    This is the single-file API (no project passes); :func:`lint_paths`
+    This is the single-file API (no project passes); :func:`run_analysis`
     and :func:`main` run the whole two-phase pipeline.
     """
     try:
@@ -131,27 +124,6 @@ def lint_source(
         findings.extend(checker.check(ctx))
     waivers = parse_suppressions(source)
     return _apply_suppressions(findings, {filename: waivers})
-
-
-def lint_file(
-    path: str | Path, checkers: Sequence[Checker] | None = None
-) -> list[Finding]:
-    """Per-file findings for one file on disk."""
-    path = Path(path)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        return [
-            Finding(
-                file=str(path),
-                line=1,
-                col=1,
-                code=PARSE_ERROR_CODE,
-                severity=Severity.ERROR,
-                message=f"cannot read file: {exc}",
-            )
-        ]
-    return lint_source(source, filename=str(path), checkers=checkers)
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -177,36 +149,12 @@ class LintReport:
     findings: list[Finding]
     #: Checker crashes and other analyzer faults -- exit 2 material.
     internal_errors: list[str] = field(default_factory=list)
-    files: int = 0
-    #: Per-file cache counters (equal to ``files`` / 0 without a cache).
-    analyzed: int = 0
-    reused: int = 0
-
-
-def _suppressions_to_cache(
-    waivers: Mapping[int, Suppression],
-) -> dict[int, tuple[list[str], bool]]:
-    return {
-        line: (sorted(w.codes), w.justified) for line, w in waivers.items()
-    }
-
-
-def _suppressions_from_cache(
-    data: Mapping[int, tuple[list[str], bool]],
-) -> dict[int, Suppression]:
-    return {
-        line: Suppression(
-            line=line, codes=frozenset(codes), justified=justified
-        )
-        for line, (codes, justified) in data.items()
-    }
 
 
 def run_analysis(
     paths: Iterable[str | Path],
     checkers: Sequence[Checker] | None = None,
     project_checkers: Sequence[ProjectChecker] | None = None,
-    cache: AnalysisCache | None = None,
 ) -> LintReport:
     """The full two-phase pipeline over files and directories."""
     file_checkers = list(all_checkers() if checkers is None else checkers)
@@ -218,11 +166,8 @@ def run_analysis(
     internal_errors: list[str] = []
     summaries: list[ModuleSummary] = []
     waivers_by_file: dict[str, dict[int, Suppression]] = {}
-    files = 0
-    analyzed = 0
 
     for path in iter_python_files(paths):
-        files += 1
         filename = str(path)
         try:
             source = path.read_text(encoding="utf-8")
@@ -230,55 +175,26 @@ def run_analysis(
             raw.append(
                 Finding(
                     file=filename, line=1, col=1, code=PARSE_ERROR_CODE,
-                    severity=Severity.ERROR,
                     message=f"cannot read file: {exc}",
                 )
             )
             continue
-        sha = source_digest(source)
-        if cache is not None:
-            entry = cache.get(filename, sha)
-            if entry is not None:
-                if entry.summary is not None:
-                    summaries.append(entry.summary)
-                raw.extend(entry.findings)
-                waivers_by_file[filename] = _suppressions_from_cache(
-                    entry.suppressions
-                )
-                continue
-        else:
-            analyzed += 1
-        waivers = parse_suppressions(source)
-        waivers_by_file[filename] = waivers
-        file_findings: list[Finding] = []
-        summary: ModuleSummary | None = None
+        waivers_by_file[filename] = parse_suppressions(source)
         try:
             tree = ast.parse(source, filename=filename)
         except SyntaxError as exc:
-            file_findings.append(_parse_error_finding(filename, exc))
-        else:
-            summary = summarize_module(source, filename, tree=tree)
-            summaries.append(summary)
-            ctx = FileContext(filename, source, tree)
-            for checker in file_checkers:
-                try:
-                    file_findings.extend(checker.check(ctx))
-                except Exception as exc:  # noqa: BLE001 - contained on purpose
-                    internal_errors.append(
-                        f"{checker.CODE} crashed on {filename}: "
-                        f"{type(exc).__name__}: {exc}"
-                    )
-        raw.extend(file_findings)
-        if cache is not None:
-            cache.put(
-                filename,
-                CacheEntry(
-                    sha256=sha,
-                    summary=summary,
-                    findings=file_findings,
-                    suppressions=_suppressions_to_cache(waivers),
-                ),
-            )
+            raw.append(_parse_error_finding(filename, exc))
+            continue
+        ctx = FileContext(filename, source, tree)
+        summaries.append(summarize_context(ctx))
+        for checker in file_checkers:
+            try:
+                raw.extend(checker.check(ctx))
+            except Exception as exc:  # noqa: BLE001 - contained on purpose
+                internal_errors.append(
+                    f"{checker.CODE} crashed on {filename}: "
+                    f"{type(exc).__name__}: {exc}"
+                )
 
     if proj_checkers and summaries:
         project = ProjectGraph(summaries)
@@ -291,35 +207,14 @@ def run_analysis(
                     f"{type(exc).__name__}: {exc}"
                 )
 
-    if cache is not None:
-        cache.save()
-        analyzed = cache.analyzed
     return LintReport(
         findings=_apply_suppressions(raw, waivers_by_file),
         internal_errors=internal_errors,
-        files=files,
-        analyzed=analyzed,
-        reused=cache.reused if cache is not None else 0,
     )
 
 
-def lint_paths(
-    paths: Iterable[str | Path], checkers: Sequence[Checker] | None = None
-) -> list[Finding]:
-    """Findings across files and directories, stably ordered.
-
-    Runs both phases; pass ``checkers=[]`` style sequences to narrow
-    the file phase (project passes always run over the full set).
-    """
-    return run_analysis(paths, checkers=checkers).findings
-
-
-def format_findings(
-    findings: Sequence[Finding],
-    fmt: str = "text",
-    base_dir: str | Path | None = None,
-) -> str:
-    """Render findings as ``text``, ``json`` or ``sarif``."""
+def format_findings(findings: Sequence[Finding], fmt: str = "text") -> str:
+    """Render findings as ``text`` or ``json``."""
     if fmt == "json":
         payload = {
             "version": 1,
@@ -327,8 +222,6 @@ def format_findings(
             "findings": [finding.to_dict() for finding in findings],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-    if fmt == "sarif":
-        return format_sarif(findings, base_dir)
     if not findings:
         return "repro.lint: clean"
     lines = [finding.render() for finding in findings]
@@ -339,32 +232,12 @@ def format_findings(
     return "\n".join(lines)
 
 
-def _changed_files(ref: str) -> set[str] | None:
-    """Resolved paths changed vs ``ref`` plus untracked files, or None
-    when git is unavailable (caller reports and exits 2)."""
-    changed: set[str] = set()
-    for cmd in (
-        ["git", "diff", "--name-only", ref, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        for line in proc.stdout.splitlines():
-            if line.strip():
-                changed.add(str(Path(line.strip()).resolve()))
-    return changed
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
             "AST and whole-program determinism/reproducibility checks "
-            "(RPR001-RPR006 per file, RPR101-RPR105 across the project). "
+            "(RPR001-RPR004 per file, RPR101-RPR105 across the project). "
             "Exit 1 when findings remain, 2 on usage or internal errors."
         ),
     )
@@ -373,41 +246,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
+        "--format", choices=["text", "json"], default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--output", metavar="FILE", default=None,
-        help="write the report to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="subtract findings recorded in a baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="FILE", default=None,
-        help="record current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--changed-only", metavar="REF", nargs="?", const="HEAD",
-        default=None,
-        help=(
-            "report findings only in files changed vs a git ref "
-            "(default HEAD); whole-program passes still analyze "
-            "the full tree"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="reuse per-file analysis keyed by content hash under DIR",
-    )
-    parser.add_argument(
-        "--no-project", action="store_true",
-        help="skip the whole-program passes (file checkers only)",
-    )
-    parser.add_argument(
-        "--stats", action="store_true",
-        help="print files/analyzed/reused counters to stderr",
     )
     return parser
 
@@ -424,64 +264,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return 2
 
-    cache = AnalysisCache(args.cache_dir) if args.cache_dir else None
-    report = run_analysis(
-        args.paths,
-        project_checkers=[] if args.no_project else None,
-        cache=cache,
-    )
-    findings = report.findings
-    base_dir = Path.cwd()
-
-    if args.changed_only is not None:
-        changed = _changed_files(args.changed_only)
-        if changed is None:
-            print(
-                "repro.lint: --changed-only requires a usable git "
-                f"checkout (ref {args.changed_only!r})",
-                file=sys.stderr,
-            )
-            return 2
-        findings = [
-            f for f in findings if str(Path(f.file).resolve()) in changed
-        ]
-
-    if args.write_baseline:
-        count = write_baseline(args.write_baseline, findings, base_dir)
-        print(
-            f"repro.lint: wrote {count} entr"
-            f"{'y' if count == 1 else 'ies'} to {args.write_baseline}"
-        )
-        return 0
-
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"repro.lint: {exc}", file=sys.stderr)
-            return 2
-        findings = apply_baseline(findings, baseline, base_dir)
-
-    rendered = format_findings(findings, fmt=args.format, base_dir=base_dir)
-    if args.output:
-        Path(args.output).write_text(rendered + "\n", encoding="utf-8")
-        print(
-            f"repro.lint: wrote {args.format} report "
-            f"({len(findings)} finding{'s' if len(findings) != 1 else ''}) "
-            f"to {args.output}"
-        )
-    else:
-        print(rendered)
-
-    if args.stats:
-        print(
-            f"repro.lint: {report.files} files, "
-            f"{report.analyzed} analyzed, {report.reused} reused from cache",
-            file=sys.stderr,
-        )
+    report = run_analysis(args.paths)
+    print(format_findings(report.findings, fmt=args.format))
     for error in report.internal_errors:
         print(f"repro.lint: internal error: {error}", file=sys.stderr)
     if report.internal_errors:
         return 2
-    has_errors = any(f.severity is Severity.ERROR for f in findings)
-    return 1 if has_errors else 0
+    return 1 if report.findings else 0

@@ -2,7 +2,8 @@
 
 A :class:`FlowTracker` is a :class:`~repro.obs.hooks.SimObserver` --
 it rides the engine's existing hook points, writes only its own state
-(the RPR104 observer discipline: no engine mutation, no RNG), and so
+(the observer discipline: no engine mutation, no RNG, enforced for
+every engine by ``tests/test_obs_engine.py::TestDeterminism``), and so
 cannot perturb the run.  Enabled-vs-disabled runs stay bit-for-bit
 identical on the exact engines, which
 ``tests/test_workload_differential.py`` pins against a golden trace.

@@ -170,3 +170,50 @@ class TestObservabilityFlags:
         assert exports  # at least one sweep recorded
         for label, export in exports.items():
             assert export["counters"]["eject.packets"] > 0
+
+
+class TestInputErrors:
+    """Bad inputs exit 2 with one ``repro-rfc <command>: error:`` line
+    naming the input, never a traceback."""
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["simulate", "rfc", "--load", "1.5", "--cycles", "10"],
+         "load must be in (0, 1], got 1.5"),
+        (["simulate", "rfc", "--radix", "7", "--cycles", "10"],
+         "radix must be even and >= 4, got 7"),
+        (["report", "/nonexistent/topology.json"],
+         "No such file or directory"),
+    ])
+    def test_handler_errors_exit_two(self, argv, needle, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-rfc {argv[0]}: error: ")
+        assert needle in err
+        assert "Traceback" not in err
+
+    def test_malformed_topology_file(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("repro-rfc report: error: ")
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["experiment", "nosuch"], "invalid choice: 'nosuch'"),
+        (["diversity", "rfc", "--pairs", "0"], "--pairs: must be >= 1, got 0"),
+        (["diversity", "rfc", "--pairs", "-1"], "must be >= 1, got -1"),
+        (["report", "t.json", "--fault-trials", "-1"],
+         "--fault-trials: must be >= 0, got -1"),
+        (["report", "t.json", "--fault-trials", "x"], "invalid int value: 'x'"),
+    ])
+    def test_parse_time_rejections(self, argv, needle, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            build_parser().parse_args(argv)
+        assert exc_info.value.code == 2
+        assert needle in capsys.readouterr().err
+
+    def test_zero_fault_trials_is_valid(self):
+        args = build_parser().parse_args(
+            ["report", "t.json", "--fault-trials", "0"]
+        )
+        assert args.fault_trials == 0
+        assert build_parser().parse_args(["experiment", "all"]).name == "all"

@@ -18,6 +18,8 @@ contracts:
   holds ``len(queue) + slots <= buffer_packets`` (credits in flight
   make up the difference).  This is the bound that lets a plain list
   serve as a VC buffer.
+* **Up/down turns** -- at the benchmark sizes, every hop moves exactly
+  one level and no packet ascends after it has descended.
 * **Arbitration stability under input-unit permutation** -- permuting
   the per-switch input-unit order changes which packets the shared
   RNG stream favors, so it changes results; but it must change them
@@ -29,6 +31,7 @@ contracts:
 """
 
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -132,10 +135,18 @@ def test_latency_at_least_serialization(config):
 
 class ConservationObserver(SimObserver):
     """Asserts the in-flight balance and the credit bounds at every
-    callback."""
+    callback.
+
+    With ``level_offsets`` set (a folded Clos simulator's first switch
+    id per level), every hop must also move exactly one level, and no
+    packet may ascend after it has descended: the up/down routes are
+    acyclic.
+    """
 
     def __init__(self, buffer_packets):
         self.buffer_packets = buffer_packets
+        self.level_offsets = None
+        self.last_step = {}
         self.hops = 0
         self.injected = 0
         self.ejected = 0
@@ -154,6 +165,7 @@ class ConservationObserver(SimObserver):
 
     def on_eject(self, time, packet, latency, phits):
         self.ejected += 1
+        self.last_step.pop(packet, None)
         self._tick(time)
 
     def on_hop(self, time, packet, switch, downstream, vc, slots_left,
@@ -163,9 +175,18 @@ class ConservationObserver(SimObserver):
         assert 0 <= slots_left, "granted a VC without credit"
         assert 1 <= queue_len <= self.buffer_packets, "VC buffer overflow"
         assert queue_len + slots_left <= self.buffer_packets
+        if self.level_offsets is not None:
+            step = (bisect_right(self.level_offsets, downstream)
+                    - bisect_right(self.level_offsets, switch))
+            assert step in (1, -1), "hop does not move exactly one level"
+            assert not (step == 1 and self.last_step.get(packet) == -1), (
+                "packet ascended after descending"
+            )
+            self.last_step[packet] = step
 
     def on_drop(self, time, terminal, packet):
         self.dropped += 1
+        self.last_step.pop(packet, None)
         self._tick(time)
 
 
@@ -220,6 +241,7 @@ def test_packet_conservation_at_uniform_bench_size():
         topo, make_traffic("uniform", topo.num_terminals, rng=1), 0.7,
         params, observer=obs,
     )
+    obs.level_offsets = sim.level_offsets
     result = sim.run()
     assert result.delivered_packets > 10_000
     assert obs.hops > result.delivered_packets
@@ -241,6 +263,7 @@ def test_packet_conservation_at_rpc_bench_size():
     sim = Simulator(
         topo, workload, nominal_load(workload, params), params, observer=obs
     )
+    obs.level_offsets = sim.level_offsets
     result = sim.run()
     assert result.delivered_packets > 10_000
     assert obs.hops > result.delivered_packets

@@ -45,16 +45,6 @@ CASES = {
             return items
         """,
     ),
-    "RPR002": (
-        """\
-        def lookup(cache, topo):
-            return cache.get(id(topo))  # HIT
-        """,
-        """\
-        def lookup(cache, digest):
-            return cache.get(digest)
-        """,
-    ),
     "RPR003": (
         """\
         def enumerate_edges(adj: list[set[int]]):
@@ -76,48 +66,6 @@ CASES = {
         def derive_seed(base: int, index: int) -> int:
             return base + 1_000_003 * index
         """,
-    ),
-    "RPR005": (
-        """\
-        def fan_out(pool, items):
-            return list(pool.map(lambda x: x + 1, items))  # HIT
-        """,
-        """\
-        def double(x):
-            return x + x
-
-        def fan_out(pool, items):
-            return list(pool.map(double, items))
-        """,
-    ),
-    "RPR006": (
-        """\
-        def accumulate(x, acc=[]):  # HIT
-            acc.append(x)
-            return acc
-        """,
-        """\
-        def accumulate(x, acc=None):
-            acc = [] if acc is None else acc
-            acc.append(x)
-            return acc
-        """,
-    ),
-    "RPR007": (
-        """\
-        def count_ports(topo):
-            total = 0
-            for s in range(topo.num_switches):
-                total += topo.up_degree(s)  # HIT
-            return total
-        """,
-        """\
-        import numpy as np
-
-        def count_ports(topo):
-            return int(np.sum(topo.links_array() >= 0))
-        """,
-        "lib/accel/hot.py",
     ),
 }
 
@@ -250,48 +198,6 @@ class TestRpr001Variants:
         ) == []
 
 
-class TestRpr002Variants:
-    def test_subscript_key(self):
-        assert codes_for(
-            """\
-            def memo(table, obj, value):
-                table[id(obj)] = value
-            """
-        ) == ["RPR002"]
-
-    def test_seed_keyword(self):
-        assert codes_for(
-            """\
-            def run(sim, cfg):
-                return sim(seed=hash(cfg))
-            """
-        ) == ["RPR002"]
-
-    def test_sort_key_lambda(self):
-        assert codes_for(
-            """\
-            def order(items):
-                return sorted(items, key=hash)  # benign: key not a call
-            """
-        ) == []
-
-    def test_logging_use_clean(self):
-        assert codes_for(
-            """\
-            def describe(obj):
-                return f"object at {id(obj)}"
-            """
-        ) == []
-
-    def test_shadowed_builtin_clean(self):
-        assert codes_for(
-            """\
-            def lookup(cache, id):
-                return cache.get(id)
-            """
-        ) == []
-
-
 class TestRpr003Variants:
     def test_for_loop_append(self):
         assert codes_for(
@@ -393,137 +299,6 @@ class TestRpr004Variants:
         ) == ["RPR004"]
 
 
-class TestRpr005Variants:
-    def test_nested_function(self):
-        assert codes_for(
-            """\
-            def run(pool, items):
-                def work(x):
-                    return x + 1
-                return list(pool.map(work, items))
-            """
-        ) == ["RPR005"]
-
-    def test_partial_over_lambda(self):
-        assert codes_for(
-            """\
-            from functools import partial
-
-            def run(pool, items):
-                return pool.submit(partial(lambda x, y: x + y, 1), items)
-            """
-        ) == ["RPR005"]
-
-    def test_builtin_map_clean(self):
-        assert codes_for(
-            """\
-            def run(items):
-                return list(map(lambda x: x + 1, items))
-            """
-        ) == []
-
-    def test_module_level_function_clean(self):
-        assert codes_for(
-            """\
-            def work(x):
-                return x + 1
-
-            def run(pool, items):
-                return list(pool.map(work, items))
-            """
-        ) == []
-
-
-class TestRpr006Variants:
-    def test_keyword_only_default(self):
-        assert codes_for(
-            """\
-            def api(x, *, acc={}):
-                return acc
-            """
-        ) == ["RPR006"]
-
-    def test_private_function_clean(self):
-        assert codes_for(
-            """\
-            def _helper(x, acc=[]):
-                acc.append(x)
-                return acc
-            """
-        ) == []
-
-    def test_immutable_defaults_clean(self):
-        assert codes_for(
-            """\
-            def api(x, pair=(), label="", limit=0):
-                return x, pair, label, limit
-            """
-        ) == []
-
-
-class TestRpr007Variants:
-    HOT = "lib/topologies/packed.py"
-
-    def test_bare_scale_name_fires(self):
-        assert codes_for(
-            """\
-            def tally(num_terminals, degree_of):
-                total = 0
-                for t in range(num_terminals):
-                    total |= degree_of(t)
-                return total
-            """,
-            self.HOT,
-        ) == ["RPR007"]
-
-    def test_outside_hot_paths_clean(self):
-        assert codes_for(
-            """\
-            def tally(num_terminals, degree_of):
-                total = 0
-                for t in range(num_terminals):
-                    total += degree_of(t)
-                return total
-            """,
-            "lib/analysis/report.py",
-        ) == []
-
-    def test_constant_range_clean(self):
-        assert codes_for(
-            """\
-            def tally(degree_of):
-                total = 0
-                for t in range(8):
-                    total += degree_of(t)
-                return total
-            """,
-            self.HOT,
-        ) == []
-
-    def test_array_element_writes_clean(self):
-        assert codes_for(
-            """\
-            def fill(num_switches, out, degree_of):
-                for s in range(num_switches):
-                    out[s] = degree_of(s)
-                return out
-            """,
-            self.HOT,
-        ) == []
-
-    def test_shadowed_range_clean(self):
-        assert codes_for(
-            """\
-            def tally(num_terminals, range):
-                total = 0
-                for t in range(num_terminals):
-                    total += t
-                return total
-            """,
-            self.HOT,
-        ) == []
-
-
 class TestFramework:
     def test_parse_error_reported_not_raised(self):
         findings = findings_for("def broken(:\n    pass\n")
@@ -537,11 +312,11 @@ class TestFramework:
             def b(items):
                 random.shuffle(items)
 
-            def a(x, acc=[]):
-                return acc
+            def a(items: set[int]):
+                return [x for x in items]
             """
         )
-        assert [f.code for f in findings] == ["RPR001", "RPR006"]
+        assert [f.code for f in findings] == ["RPR001", "RPR003"]
         assert [f.line for f in findings] == sorted(f.line for f in findings)
         assert all(f.file == "lib/mod.py" for f in findings)
 
@@ -558,8 +333,22 @@ class TestFramework:
 
     def test_multi_code_waiver(self):
         snippet = """\
-        def api(cache, obj, acc=[]):  # repro: allow-RPR006, RPR002 -- fixture
-            acc.append(cache.get(id(obj)))  # repro: allow-RPR002 -- fixture
-            return acc
+        import random
+
+        def api(items: set[int]):
+            return [random.random() for _ in items]  # repro: allow-RPR003, RPR001 -- fixture
         """
         assert codes_for(snippet) == []
+
+    def test_waiver_naming_unknown_code_is_reported(self):
+        findings = findings_for(
+            """\
+            def memo(cache, topo):
+                return cache.get(id(topo))  # repro: allow-RPR002 -- stale
+            """
+        )
+        assert [(f.code, f.line, f.message) for f in findings] == [
+            (UNJUSTIFIED_CODE, 2, "waiver names unknown code RPR002")
+        ]
+        # The framework codes count as known.
+        assert codes_for("x = 1  # repro: allow-RPR000, RPR999 -- fixture\n") == []

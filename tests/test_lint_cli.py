@@ -86,7 +86,6 @@ class TestJsonFormat:
         assert payload["count"] == 1
         (finding,) = payload["findings"]
         assert finding["code"] == "RPR001"
-        assert finding["severity"] == "error"
         assert finding["file"] == str(violation_file)
         assert finding["line"] == 4
         assert finding["col"] >= 1
@@ -131,6 +130,6 @@ class TestSelfGate:
         from repro.lint import checker_codes
 
         assert checker_codes() == [
-            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-            "RPR007", "RPR101", "RPR102", "RPR103", "RPR104", "RPR105",
+            "RPR001", "RPR003", "RPR004",
+            "RPR101", "RPR102", "RPR103", "RPR105",
         ]

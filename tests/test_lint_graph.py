@@ -10,7 +10,6 @@ from repro.lint.dataflow import TaintEngine, classify_source
 from repro.lint.graph import (
     ProjectGraph,
     module_name_for,
-    source_digest,
     summarize_module,
 )
 
@@ -50,10 +49,6 @@ class TestModuleNames:
 
 
 class TestSummaries:
-    def test_digest_is_content_hash(self):
-        assert source_digest("x = 1\n") == source_digest("x = 1\n")
-        assert source_digest("x = 1\n") != source_digest("x = 2\n")
-
     def test_calls_reads_and_fields(self, tmp_path):
         source = textwrap.dedent(
             """\

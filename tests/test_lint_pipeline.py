@@ -1,16 +1,10 @@
-"""The run pipeline around the checkers: SARIF output, the incremental
-per-file cache, baselines, ``--changed-only`` and the exit-code
-contract (0 clean / 1 findings / 2 internal error)."""
+"""The run pipeline around the checkers: parse errors, contained
+checker crashes and the exit-code contract (0 clean / 1 findings /
+2 internal error)."""
 
-import json
-import subprocess
 import textwrap
-from pathlib import Path
-
-import pytest
 
 from repro.lint.base import Checker, ProjectChecker
-from repro.lint.cache import AnalysisCache, analyzer_version
 from repro.lint.runner import main as lint_main
 from repro.lint.runner import run_analysis
 
@@ -30,227 +24,6 @@ CLEAN = textwrap.dedent(
         return 2 * x
     """
 )
-
-
-@pytest.fixture
-def violation_file(tmp_path):
-    path = tmp_path / "dirty.py"
-    path.write_text(VIOLATION)
-    return path
-
-
-class TestSarif:
-    def test_log_shape(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "dirty.py").write_text(VIOLATION)
-        assert lint_main(["dirty.py", "--format", "sarif"]) == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        assert log["$schema"].endswith("sarif-2.1.0.json")
-        (run,) = log["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro.lint"
-        rule_ids = {rule["id"] for rule in driver["rules"]}
-        assert {"RPR001", "RPR101", "RPR102", "RPR103", "RPR104",
-                "RPR000", "RPR999"} <= rule_ids
-        (result,) = run["results"]
-        assert result["ruleId"] == "RPR001"
-        assert result["level"] == "error"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["region"]["startLine"] == 4
-        uri = location["artifactLocation"]["uri"]
-        assert "\\" not in uri and not uri.startswith("/")
-
-    def test_rules_carry_descriptions(self, violation_file, capsys):
-        lint_main([str(violation_file), "--format", "sarif"])
-        log = json.loads(capsys.readouterr().out)
-        for rule in log["runs"][0]["tool"]["driver"]["rules"]:
-            assert rule["shortDescription"]["text"]
-            assert rule["defaultConfiguration"]["level"] in (
-                "error", "warning"
-            )
-
-    def test_output_is_deterministic(self, violation_file, capsys):
-        lint_main([str(violation_file), "--format", "sarif"])
-        first = capsys.readouterr().out
-        lint_main([str(violation_file), "--format", "sarif"])
-        assert capsys.readouterr().out == first
-
-    def test_output_file(self, violation_file, tmp_path, capsys):
-        out = tmp_path / "report.sarif"
-        code = lint_main(
-            [str(violation_file), "--format", "sarif", "--output", str(out)]
-        )
-        assert code == 1
-        log = json.loads(out.read_text())
-        assert log["runs"][0]["results"]
-        assert "report.sarif" in capsys.readouterr().out
-
-
-class TestIncrementalCache:
-    def _tree(self, tmp_path):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "__init__.py").write_text("")
-        (pkg / "one.py").write_text(CLEAN)
-        (pkg / "two.py").write_text(VIOLATION)
-        (pkg / "three.py").write_text(CLEAN.replace("double", "triple"))
-        return pkg
-
-    def test_second_run_reuses_everything(self, tmp_path):
-        pkg = self._tree(tmp_path)
-        cache_dir = tmp_path / "cache"
-        first = run_analysis([pkg], cache=AnalysisCache(cache_dir))
-        assert first.analyzed == 4 and first.reused == 0
-        second = run_analysis([pkg], cache=AnalysisCache(cache_dir))
-        assert second.analyzed == 0 and second.reused == 4
-        assert second.findings == first.findings
-
-    def test_editing_one_file_reanalyzes_only_it(self, tmp_path):
-        pkg = self._tree(tmp_path)
-        cache_dir = tmp_path / "cache"
-        run_analysis([pkg], cache=AnalysisCache(cache_dir))
-        (pkg / "one.py").write_text(CLEAN + "\nX = 1\n")
-        rerun = run_analysis([pkg], cache=AnalysisCache(cache_dir))
-        assert rerun.analyzed == 1 and rerun.reused == 3
-
-    def test_cached_findings_survive_reuse(self, tmp_path):
-        pkg = self._tree(tmp_path)
-        cache_dir = tmp_path / "cache"
-        first = run_analysis([pkg], cache=AnalysisCache(cache_dir))
-        second = run_analysis([pkg], cache=AnalysisCache(cache_dir))
-        assert [f.code for f in second.findings] == ["RPR001"]
-        assert second.findings == first.findings
-
-    def test_version_skew_invalidates(self, tmp_path):
-        pkg = self._tree(tmp_path)
-        cache_dir = tmp_path / "cache"
-        run_analysis([pkg], cache=AnalysisCache(cache_dir))
-        payload = json.loads((cache_dir / "lint-cache.json").read_text())
-        payload["version"] = "0:stale"
-        (cache_dir / "lint-cache.json").write_text(json.dumps(payload))
-        rerun = run_analysis([pkg], cache=AnalysisCache(cache_dir))
-        assert rerun.analyzed == 4 and rerun.reused == 0
-
-    def test_corrupt_cache_is_empty_not_fatal(self, tmp_path):
-        pkg = self._tree(tmp_path)
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        (cache_dir / "lint-cache.json").write_text("{not json")
-        report = run_analysis([pkg], cache=AnalysisCache(cache_dir))
-        assert report.analyzed == 4
-        assert [f.code for f in report.findings] == ["RPR001"]
-
-    def test_analyzer_version_names_all_codes(self):
-        version = analyzer_version()
-        for code in ("RPR001", "RPR101", "RPR104"):
-            assert code in version
-
-    def test_cli_stats(self, tmp_path, capsys):
-        pkg = self._tree(tmp_path)
-        cache_dir = tmp_path / "cache"
-        lint_main([str(pkg), "--cache-dir", str(cache_dir), "--stats"])
-        capsys.readouterr()
-        lint_main([str(pkg), "--cache-dir", str(cache_dir), "--stats"])
-        err = capsys.readouterr().err
-        assert "4 files" in err
-        assert "0 analyzed" in err
-        assert "4 reused" in err
-
-
-class TestBaseline:
-    def test_ratchet_workflow(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text(VIOLATION)
-        baseline = tmp_path / "baseline.json"
-
-        assert lint_main(
-            [str(dirty), "--write-baseline", str(baseline)]
-        ) == 0
-        capsys.readouterr()
-        payload = json.loads(baseline.read_text())
-        assert payload["version"] == 1
-        assert len(payload["entries"]) == 1
-        assert "RPR001" in payload["entries"][0]
-
-        # Baselined finding no longer fails the run...
-        assert lint_main([str(dirty), "--baseline", str(baseline)]) == 0
-        assert "clean" in capsys.readouterr().out
-
-        # ...but a new, distinct finding still does.  (Fingerprints
-        # deliberately omit line numbers, so an identical second
-        # violation would be masked -- introduce a different one.)
-        dirty.write_text(VIOLATION + "\n\ndef pick(xs):\n"
-                         "    return random.choice(xs)\n")
-        assert lint_main([str(dirty), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "1 finding" in out
-        assert "random.choice" in out
-
-    def test_malformed_baseline_is_exit_two(self, violation_file,
-                                            tmp_path, capsys):
-        bad = tmp_path / "baseline.json"
-        bad.write_text('{"version": 99}')
-        assert lint_main(
-            [str(violation_file), "--baseline", str(bad)]
-        ) == 2
-        assert "baseline" in capsys.readouterr().err
-
-    def test_baseline_has_no_absolute_paths(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "dirty.py").write_text(VIOLATION)
-        baseline = tmp_path / "baseline.json"
-        lint_main(["dirty.py", "--write-baseline", str(baseline)])
-        for entry in json.loads(baseline.read_text())["entries"]:
-            assert not entry.startswith("/")
-
-
-class TestChangedOnly:
-    def _git(self, cwd, *args):
-        subprocess.run(
-            ["git", "-c", "user.email=t@t", "-c", "user.name=t", *args],
-            cwd=cwd, check=True, capture_output=True,
-        )
-
-    def test_reports_only_changed_files(self, tmp_path, monkeypatch,
-                                        capsys):
-        self._git(tmp_path, "init", "-q")
-        committed = tmp_path / "old.py"
-        committed.write_text(VIOLATION)
-        (tmp_path / "clean.py").write_text(CLEAN)
-        self._git(tmp_path, "add", ".")
-        self._git(tmp_path, "commit", "-qm", "seed")
-        fresh = tmp_path / "new.py"
-        fresh.write_text(VIOLATION.replace("wire", "rewire"))
-        monkeypatch.chdir(tmp_path)
-
-        # Full run sees both findings; changed-only sees the new file's.
-        assert lint_main([str(tmp_path)]) == 1
-        assert capsys.readouterr().out.count("RPR001") == 2
-        assert lint_main([str(tmp_path), "--changed-only"]) == 1
-        out = capsys.readouterr().out
-        assert out.count("RPR001") == 1
-        assert "new.py" in out
-        assert "old.py" not in out
-
-    def test_clean_changed_set_exits_zero(self, tmp_path, monkeypatch,
-                                          capsys):
-        self._git(tmp_path, "init", "-q")
-        dirty = tmp_path / "old.py"
-        dirty.write_text(VIOLATION)
-        self._git(tmp_path, "add", ".")
-        self._git(tmp_path, "commit", "-qm", "seed")
-        (tmp_path / "new.py").write_text(CLEAN)
-        monkeypatch.chdir(tmp_path)
-        assert lint_main([str(tmp_path), "--changed-only"]) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_outside_git_is_exit_two(self, tmp_path, monkeypatch, capsys):
-        (tmp_path / "file.py").write_text(CLEAN)
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("GIT_DIR", str(tmp_path / "nonexistent"))
-        assert lint_main([str(tmp_path), "--changed-only"]) == 2
-        assert "git" in capsys.readouterr().err
 
 
 class _CrashingChecker(Checker):
@@ -298,32 +71,3 @@ class TestErgonomics:
         )
         assert len(report.internal_errors) == 1
         assert "project pass exploded" in report.internal_errors[0]
-
-    def test_no_project_skips_project_passes(self, tmp_path, capsys):
-        # A tree that would raise an RPR104 finding stays clean when
-        # the project phase is disabled.
-        obs = tmp_path / "obs"
-        obs.mkdir()
-        (obs / "__init__.py").write_text("")
-        (obs / "hooks.py").write_text(textwrap.dedent(
-            """\
-            class Meddler:
-                def on_inject(self, sim, packet):
-                    sim.queue.append(packet)
-            """
-        ))
-        assert lint_main([str(tmp_path)]) == 1
-        capsys.readouterr()
-        assert lint_main([str(tmp_path), "--no-project"]) == 0
-
-    def test_cli_forwards_new_flags(self, tmp_path, capsys):
-        from repro.cli import main as cli_main
-
-        (tmp_path / "dirty.py").write_text(VIOLATION)
-        out_file = tmp_path / "report.sarif"
-        code = cli_main([
-            "lint", str(tmp_path), "--format", "sarif",
-            "--output", str(out_file),
-        ])
-        assert code == 1
-        assert json.loads(out_file.read_text())["version"] == "2.1.0"

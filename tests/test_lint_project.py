@@ -536,108 +536,21 @@ class TestCacheKeyTaint:
         report = run_analysis([tmp_path])
         assert _codes(report.findings) == []
 
-
-class TestObserverWrites:
-    def test_hook_writing_parameter_fires(self, tmp_path):
-        _write(tmp_path, {
-            "proj/__init__.py": "",
-            "proj/obs/__init__.py": "",
-            "proj/obs/hooks.py": """\
-                class Meddler:
-                    def on_inject(self, sim, packet):
-                        sim.queue.append(packet)
-
-                    def on_drop(self, sim, packet):
-                        sim.drops = sim.drops + 1
-                """,
-        })
-        report = run_analysis([tmp_path])
-        hits = [f for f in report.findings if f.code == "RPR104"]
-        assert len(hits) == 2
-        assert all(h.file.endswith("hooks.py") for h in hits)
-        messages = " ".join(h.message for h in hits)
-        assert "append" in messages
-        assert "sim.drops" in messages
-
-    def test_self_accumulation_is_clean(self, tmp_path):
-        _write(tmp_path, {
-            "proj/__init__.py": "",
-            "proj/obs/__init__.py": "",
-            "proj/obs/hooks.py": """\
-                class Metrics:
-                    def __init__(self):
-                        self.count = 0
-                        self.events = []
-
-                    def on_inject(self, sim, packet):
-                        self.count += 1
-                        self.events.append(packet.id)
-                """,
-        })
-        report = run_analysis([tmp_path])
-        assert _codes(report.findings) == []
-
-    def test_transitive_write_via_helper_fires_with_chain(self, tmp_path):
-        _write(tmp_path, {
-            "proj/__init__.py": "",
-            "proj/obs/__init__.py": "",
-            "proj/obs/hooks.py": """\
-                from ..fixup import drain
-
-                class Tracer:
-                    def on_eject(self, sim, packet):
-                        drain(sim)
-                """,
-            "proj/fixup.py": """\
-                def drain(sim):
-                    sim.pending.clear()
-                """,
-        })
-        report = run_analysis([tmp_path])
-        hits = [f for f in report.findings if f.code == "RPR104"]
-        assert len(hits) == 1
-        (hit,) = hits
-        assert hit.file.endswith("fixup.py")
-        assert "on_eject()" in hit.message
-        assert "drain()" in hit.message
-
-    def test_rng_draw_off_parameter_fires(self, tmp_path):
-        _write(tmp_path, {
-            "proj/__init__.py": "",
-            "proj/obs/__init__.py": "",
-            "proj/obs/hooks.py": """\
-                class Sampler:
-                    def on_hop(self, sim, packet):
-                        return sim.rng.random() < 0.5
-                """,
-        })
-        report = run_analysis([tmp_path])
-        hits = [f for f in report.findings if f.code == "RPR104"]
-        assert len(hits) == 1
-        assert "rng" in hits[0].message
+    def _waived(self, comment):
+        files = dict(self.FILES)
+        files["proj/util.py"] = files["proj/util.py"].replace(
+            '"") + text', f'"") + text  {comment}'
+        )
+        return files
 
     def test_project_finding_respects_waiver(self, tmp_path):
-        _write(tmp_path, {
-            "proj/__init__.py": "",
-            "proj/obs/__init__.py": "",
-            "proj/obs/hooks.py": """\
-                class Meddler:
-                    def on_inject(self, sim, packet):
-                        sim.queue.append(packet)  # repro: allow-RPR104 -- test fixture exercising waivers
-                """,
-        })
+        _write(tmp_path, self._waived(
+            "# repro: allow-RPR103 -- test fixture exercising waivers"
+        ))
         report = run_analysis([tmp_path])
         assert _codes(report.findings) == []
 
     def test_unjustified_waiver_becomes_rpr999(self, tmp_path):
-        _write(tmp_path, {
-            "proj/__init__.py": "",
-            "proj/obs/__init__.py": "",
-            "proj/obs/hooks.py": """\
-                class Meddler:
-                    def on_inject(self, sim, packet):
-                        sim.queue.append(packet)  # repro: allow-RPR104
-                """,
-        })
+        _write(tmp_path, self._waived("# repro: allow-RPR103"))
         report = run_analysis([tmp_path])
         assert _codes(report.findings) == ["RPR999"]

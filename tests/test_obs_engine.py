@@ -2,6 +2,8 @@
 exported metrics reconcile with the SimResult, and instrumentation is
 invisible to the simulation itself (bit-for-bit determinism)."""
 
+import dataclasses
+
 import pytest
 
 from repro.obs import (
@@ -18,22 +20,42 @@ from repro.simulation.traffic import make_traffic
 FAST = SimulationParams(measure_cycles=400, warmup_cycles=100, seed=3)
 
 
-def run_instrumented(topo, observer, load=0.5, seed=1):
+#: Every engine an observer can be attached to: the two exact engines
+#: and the relaxed one.
+ENGINE_PARAMS = {
+    "reference": dataclasses.replace(FAST, engine="reference"),
+    "fast": FAST,
+    "relaxed": dataclasses.replace(FAST, rng_mode="relaxed"),
+}
+
+
+def run_instrumented(topo, observer, load=0.5, seed=1, params=FAST):
     traffic = make_traffic("uniform", topo.num_terminals, rng=seed)
-    return simulate(topo, traffic, load, FAST, observer=observer)
+    return simulate(topo, traffic, load, params, observer=observer)
 
 
+@pytest.mark.parametrize("mode", sorted(ENGINE_PARAMS))
 class TestDeterminism:
-    def test_instrumented_equals_bare(self, rfc_small):
-        bare = run_instrumented(rfc_small, None)
-        inst = run_instrumented(rfc_small, MetricsObserver())
+    """Observers never perturb the run they watch, on every engine."""
+
+    def test_instrumented_equals_bare(self, rfc_small, mode):
+        params = ENGINE_PARAMS[mode]
+        bare = run_instrumented(rfc_small, None, params=params)
+        observer = MetricsObserver()
+        inst = run_instrumented(rfc_small, observer, params=params)
         assert bare == inst
         assert bare.core_dict() == inst.core_dict()
+        # The hooks really fired on this engine.
+        ejected = observer.export()["counters"]["eject.packets"]
+        assert ejected == inst.delivered_packets > 0
 
-    def test_tracing_does_not_perturb(self, rfc_small):
-        bare = run_instrumented(rfc_small, None)
+    def test_tracing_does_not_perturb(self, rfc_small, mode):
+        params = ENGINE_PARAMS[mode]
+        bare = run_instrumented(rfc_small, None, params=params)
         with TraceWriter(None) as writer:
-            traced = run_instrumented(rfc_small, TracingObserver(writer))
+            traced = run_instrumented(
+                rfc_small, TracingObserver(writer), params=params
+            )
         assert bare == traced
 
 
