@@ -72,6 +72,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..obs.counters import RunCounters
+from ..obs.hooks import begin_run
 from ..simulation.packet import Packet
 from ..simulation.stats import SimResult, SimStats
 from array import array
@@ -208,7 +210,6 @@ def run_relaxed(sim) -> SimResult:
     rate = sim.load / phits  # packets / terminal / cycle
     topo = sim.topo
     traffic = sim.traffic
-    obs = sim.observer
     direct = sim._direct
     valiant = params.valiant and not direct
     iterations = params.arbitration_iterations
@@ -558,8 +559,27 @@ def run_relaxed(sim) -> SimResult:
     multi_iter = iterations > 1
     granted_ch = bytearray(n_ch) if multi_iter else None
 
-    if obs is not None:
-        obs.on_run_start(sim)
+    counters, on_inject, on_drop, on_arbitrate, on_hop, on_eject = begin_run(
+        sim
+    )
+    # Run counters: grants per channel and per (cycle, class) and the
+    # switches that saw a request take one numpy pass per round; the
+    # histogram bins are bumped in the scalar grant loop.
+    counting = counters is not None
+    arb_passes = arb_requests = arb_grants = 0
+    if counters is not None:
+        c_grants = np.zeros(n_ch, dtype=np.int64)
+        c_class = np.asarray(counters.ch_class, dtype=np.int64)
+        n_cls = counters.n_classes
+        c_cycle = np.zeros((horizon + 1, n_cls), dtype=np.int64)
+        arb_seen = np.zeros(n_sw, dtype=bool)
+        c_injects = counters.injects
+        c_inject_depth = counters.inject_depth
+        c_vc_depth = counters.vc_depth
+        c_credits = counters.credits
+        c_latency = counters.latency
+        c_hops = counters.hops
+    if on_arbitrate is not None:
         req_acc = np.zeros(n_sw, dtype=np.int64)
         gr_acc = np.zeros(n_sw, dtype=np.int64)
 
@@ -687,8 +707,8 @@ def run_relaxed(sim) -> SimResult:
                 ]
             if not ok:
                 unroutable_local += 1
-                if obs is not None:
-                    obs.on_drop(t, terminal, packet)
+                if on_drop is not None:
+                    on_drop(t, terminal, packet)
             else:
                 cid = inject_channel[terminal]
                 queue = ch_queues[cid][0]
@@ -696,8 +716,14 @@ def run_relaxed(sim) -> SimResult:
                 qlen = len(queue)
                 if qlen > max_injectq:
                     max_injectq = qlen
-                if obs is not None:
-                    obs.on_inject(t, packet, qlen)
+                if counting:
+                    c_injects[t] += 1
+                    try:
+                        c_inject_depth[qlen] += 1
+                    except IndexError:
+                        RunCounters.grow(c_inject_depth, qlen)
+                if on_inject is not None:
+                    on_inject(t, packet, qlen)
                 if qlen == 1:
                     if uniform_tab:
                         # Inlined injection-head exposure.
@@ -790,7 +816,13 @@ def run_relaxed(sim) -> SimResult:
             last[n_k - 1] = True
             win = order[last.nonzero()[0]]
             wouts = outs[win]
-            if obs is not None:
+            if counting:
+                c_grants[wouts] += 1
+                c_cycle[t] += np.bincount(c_class[wouts], minlength=n_cls)
+                arb_seen[sw_np[ru]] = True
+                arb_requests += ru.size
+                arb_grants += win.size
+            if on_arbitrate is not None:
                 req_acc += np.bincount(sw_np[ru], minlength=n_sw)
                 gr_acc += np.bincount(sw_np[ru[win]], minlength=n_sw)
 
@@ -842,8 +874,11 @@ def run_relaxed(sim) -> SimResult:
                         lat_append(lat)
                         if lat > m_maxlat:
                             m_maxlat = lat
-                    if obs is not None:
-                        obs.on_eject(
+                    if counting:
+                        c_latency[delivered - packet.created] += 1
+                        c_hops[packet.hops] += 1
+                    if on_eject is not None:
+                        on_eject(
                             t, packet, delivered - packet.created, phits
                         )
                 else:
@@ -901,8 +936,11 @@ def run_relaxed(sim) -> SimResult:
                     packet.hops += 1
                     down_queue = ch_queues[out][w]
                     down_queue.append((arrive, packet))
-                    if obs is not None:
-                        obs.on_hop(
+                    if counting:
+                        c_credits[slots[w]] += 1
+                        c_vc_depth[len(down_queue)] += 1
+                    if on_hop is not None:
+                        on_hop(
                             t,
                             packet,
                             unit_switch[u],
@@ -963,11 +1001,12 @@ def run_relaxed(sim) -> SimResult:
         if multi_iter:
             # Reset the per-cycle granted-channel filter.
             granted_ch = bytearray(n_ch)
-        if obs is not None:
+        if counting:
+            arb_passes += int(np.count_nonzero(arb_seen))
+            arb_seen[:] = False
+        if on_arbitrate is not None:
             for s in np.flatnonzero(req_acc):
-                obs.on_arbitrate(
-                    t, int(s), int(req_acc[s]), int(gr_acc[s])
-                )
+                on_arbitrate(t, int(s), int(req_acc[s]), int(gr_acc[s]))
             req_acc[:] = 0
             gr_acc[:] = 0
         t += 1
@@ -979,6 +1018,13 @@ def run_relaxed(sim) -> SimResult:
     stats.generated_packets += generated_local
     stats.injected_packets += injected_local
     sim.unroutable_packets += unroutable_local
+    if counters is not None:
+        counters.grants = c_grants
+        counters.cycle_grants = c_cycle
+        counters.drops += unroutable_local
+        counters.arb_passes += arb_passes
+        counters.arb_requests += int(arb_requests)
+        counters.arb_grants += int(arb_grants)
     if max_injectq > sim.max_inject_queue:
         sim.max_inject_queue = max_injectq
     if m_packets:
@@ -1010,6 +1056,6 @@ def run_relaxed(sim) -> SimResult:
         topology=topo.name,
         unroutable_packets=sim.unroutable_packets,
     )
-    if obs is not None:
-        obs.on_run_end(sim, result)
+    if sim.observer is not None:
+        sim.observer.on_run_end(sim, result)
     return result

@@ -15,8 +15,8 @@ A :class:`MetricsRegistry` names and owns a set of metrics and exports
 them as one plain-JSON dict with **deterministically sorted keys**, so
 two identical runs produce byte-identical metric files.  Exports from
 independent workers merge with :func:`merge_metrics` (counters add,
-gauges max, histogram buckets add, time-series buckets add), which is
-how :mod:`repro.exec` aggregates per-worker metrics.
+gauges keep the max, histogram buckets add, time-series buckets add),
+which is how :mod:`repro.exec` aggregates per-worker metrics.
 
 Everything here is pure bookkeeping -- no RNG, no wall clock -- so
 attaching metrics can never perturb a simulation result.
@@ -245,9 +245,8 @@ def merge_metrics(exports: Iterable[dict]) -> dict:
         for name, value in export.get("counters", {}).items():
             counters[name] = counters.get(name, 0) + value
         for name, value in export.get("gauges", {}).items():
-            entry = gauges.setdefault(name, {"last": 0.0, "max": 0.0})
+            entry = gauges.setdefault(name, {"max": 0.0})
             entry["max"] = max(entry["max"], value.get("max", 0.0))
-            entry["last"] = value.get("last", 0.0)
         for name, value in export.get("histograms", {}).items():
             histograms[name] = _merge_histogram(histograms.get(name, {}), value)
         for name, value in export.get("timeseries", {}).items():

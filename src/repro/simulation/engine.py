@@ -39,7 +39,8 @@ from typing import Iterable
 
 import numpy as np
 
-from ..obs.hooks import SimObserver
+from ..obs.counters import RunCounters
+from ..obs.hooks import SimObserver, begin_run
 from ..routing.table import EcmpTableRouter
 from ..routing.updown import UpDownRouter
 from ..topologies.base import DirectNetwork, FoldedClos, Link
@@ -64,12 +65,14 @@ class Simulator:
     removed link that is not a cable of ``topo`` raises
     :class:`ValueError`.
 
-    ``observer`` attaches a :class:`~repro.obs.hooks.SimObserver` whose
-    hooks fire on every inject/hop/arbitration/eject/drop.  Observers
-    are pure read-only listeners (no RNG, no engine mutation), so an
-    instrumented run produces the exact same :class:`SimResult` as a
-    bare one; when ``observer`` is None the hooks cost a single pointer
-    test per event.
+    ``observer`` attaches a :class:`~repro.obs.hooks.SimObserver`.  Of
+    its inject/hop/arbitration/eject/drop hooks only the overridden ones
+    fire, and an observer that ``wants_counters`` has the engine keep a
+    :class:`~repro.obs.counters.RunCounters` record, exposed as
+    :attr:`run_counters`, instead.  Observers are pure read-only
+    listeners (no RNG, no engine mutation), so an instrumented run
+    produces the exact same :class:`SimResult` as a bare one; when
+    ``observer`` is None each event costs a pointer test or two.
     """
 
     def __init__(
@@ -96,6 +99,7 @@ class Simulator:
         self.rng = random.Random(self.params.seed)
         self.unroutable_packets = 0
         self.observer = observer
+        self.run_counters: RunCounters | None = None
         self._direct = isinstance(topo, DirectNetwork)
         # Packet tracing: hop logs for the first `trace_limit` packets.
         self.trace_limit = trace_limit
@@ -205,6 +209,9 @@ class Simulator:
         peer[n_link:] = np.repeat(np.arange(n_term), 2)
         n_ch = len(src)
 
+        #: Channels ``0 .. n_link_channels - 1`` are the links (both
+        #: directions); terminal inject/eject pairs follow.
+        self.n_link_channels = n_link
         self.ch_kind: list[int] = [_LINK] * n_link + [_INJECT, _EJECT] * n_term
         self.ch_src: list[int] = src.tolist()
         self.ch_dst: list[int] = dst.tolist()
@@ -363,8 +370,16 @@ class Simulator:
         self._heap: list[tuple[int, int, int, int, int]] = []
         self._seq = 0
         self._arb_marks: set[tuple[int, int]] = set()
-        if self.observer is not None:
-            self.observer.on_run_start(self)
+        (
+            self._counters,
+            self._on_inject,
+            self._on_drop,
+            self._on_arbitrate,
+            self._on_hop,
+            self._on_eject,
+        ) = begin_run(self)
+        if self._counters is not None:
+            self._counters.grant_lists()
 
         # Seed generation events.  Flow workloads (duck-typed on the
         # traffic's ``flow_schedule``) release pre-scheduled packets
@@ -593,16 +608,20 @@ class Simulator:
             )
         if unroutable:
             self.unroutable_packets += 1
-            if self.observer is not None:
-                self.observer.on_drop(time, terminal, packet)
+            if self._counters is not None:
+                self._counters.drops += 1
+            if self._on_drop is not None:
+                self._on_drop(time, terminal, packet)
         else:
             cid = self.inject_channel[terminal]
             queue = self.ch_queues[cid][0]
             queue.append((time, packet))
             if len(queue) > self.max_inject_queue:
                 self.max_inject_queue = len(queue)
-            if self.observer is not None:
-                self.observer.on_inject(time, packet, len(queue))
+            if self._counters is not None:
+                self._counters.inject(time, len(queue))
+            if self._on_inject is not None:
+                self._on_inject(time, packet, len(queue))
             if len(queue) == 1:
                 self._schedule_arb(self.ch_dst[cid], max(time, self.ch_blocked[cid]))
 
@@ -641,7 +660,8 @@ class Simulator:
         rng = self.rng
         ch_busy = self.ch_busy
         ch_slots = self.ch_slots
-        obs = self.observer
+        counters = self._counters
+        counting = counters is not None or self._on_arbitrate is not None
         total_requests = 0
         granted_inputs: set[int] = set()
         any_grant = False
@@ -682,7 +702,7 @@ class Simulator:
 
             if not requests:
                 break
-            if obs is not None:
+            if counting:
                 total_requests += sum(len(c) for c in requests.values())
             rotating = self.params.arbiter == "rotating"
             for out, contenders in requests.items():
@@ -695,11 +715,16 @@ class Simulator:
                 self._grant(switch, cid, vc, packet, out, time)
                 granted_inputs.add(cid)
                 any_grant = True
-        if obs is not None and total_requests:
+        if total_requests:
             # Each granted input cid is unique within a pass, so the
             # set size is the grant count -- no per-grant accounting on
             # the disabled path.
-            obs.on_arbitrate(time, switch, total_requests, len(granted_inputs))
+            if counters is not None:
+                counters.arbitration(total_requests, len(granted_inputs))
+            if self._on_arbitrate is not None:
+                self._on_arbitrate(
+                    time, switch, total_requests, len(granted_inputs)
+                )
         if any_grant:
             self._schedule_arb(switch, time + 1)
 
@@ -776,12 +801,17 @@ class Simulator:
                 )
                 trace.append((time, kind_name, peer))
 
+        counters = self._counters
+        if counters is not None:
+            counters.grant(time, out)
         kind = self.ch_kind[out]
         if kind == _EJECT:
             delivered = time + latency + phits - 1
             self._stats.on_delivered(packet, delivered, phits)
-            if self.observer is not None:
-                self.observer.on_eject(
+            if counters is not None:
+                counters.eject(delivered - packet.created, packet.hops)
+            if self._on_eject is not None:
+                self._on_eject(
                     time, packet, delivered - packet.created, phits
                 )
         else:
@@ -794,16 +824,19 @@ class Simulator:
             w = free_vcs[0] if len(free_vcs) == 1 else rng.choice(free_vcs)
             slots[w] -= 1
             packet.hops += 1
-            self.ch_queues[out][w].append((time + latency, packet))
-            if self.observer is not None:
-                self.observer.on_hop(
+            queue = self.ch_queues[out][w]
+            queue.append((time + latency, packet))
+            if counters is not None:
+                counters.hop(slots[w], len(queue))
+            if self._on_hop is not None:
+                self._on_hop(
                     time,
                     packet,
                     switch,
                     self.ch_dst[out],
                     w,
                     slots[w],
-                    len(self.ch_queues[out][w]),
+                    len(queue),
                 )
             self._schedule_arb(self.ch_dst[out], time + latency)
 

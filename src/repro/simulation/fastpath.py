@@ -56,6 +56,8 @@ import math
 
 import numpy as np
 
+from ..obs.counters import RunCounters
+from ..obs.hooks import begin_run
 from ..routing.table import CandidateRows, CsrTable
 from .packet import Packet
 from .stats import SimResult, SimStats
@@ -368,7 +370,6 @@ def run_fast(sim) -> SimResult:
     rate = sim.load / phits  # packets / terminal / cycle
     topo = sim.topo
     traffic = sim.traffic
-    obs = sim.observer
     direct = sim._direct
     valiant = params.valiant and not direct
     iterations = params.arbitration_iterations
@@ -449,8 +450,35 @@ def run_fast(sim) -> SimResult:
     choice = rng.choice
     next_serial = sim._next_serial
 
-    if obs is not None:
-        obs.on_run_start(sim)
+    counters, on_inject, on_drop, on_arbitrate, on_hop, on_eject = begin_run(
+        sim
+    )
+    # Run counters bump plain list cells (RunCounters' methods, inlined);
+    # the arbitration totals accumulate in locals and the drops are the
+    # run's unroutable packets.  Each event site tests ``observing``
+    # once, so the bare loop (no observer) pays one test per event.
+    counting = counters is not None
+    observing = counting or any(
+        hook is not None
+        for hook in (on_inject, on_drop, on_arbitrate, on_hop, on_eject)
+    )
+    count_arb = counting or on_arbitrate is not None
+    arb_passes = arb_requests = arb_grants = 0
+    unroutable_before = sim.unroutable_packets
+    if counters is not None:
+        c_grants, c_cycle = counters.grant_lists()
+        c_class = counters.ch_class
+        n_cls = counters.n_classes
+        c_injects = counters.injects
+        c_inject_depth = counters.inject_depth
+        c_vc_depth = counters.vc_depth
+        c_credits = counters.credits
+        c_latency = counters.latency
+        c_hops = counters.hops
+    else:
+        c_grants = c_cycle = c_class = c_injects = c_inject_depth = []
+        c_vc_depth = c_credits = c_latency = c_hops = []
+        n_cls = 0
 
     # ---- seed generation events (mirrors Simulator.run) ----------------
     # Flow workloads (duck-typed on ``flow_schedule``) seed one GEN
@@ -617,7 +645,7 @@ def run_fast(sim) -> SimResult:
 
                     if not requests:
                         break
-                    if obs is not None:
+                    if count_arb:
                         for contenders in requests.values():
                             total_requests += len(contenders)
                     for out, contenders in requests.items():
@@ -676,13 +704,19 @@ def run_fast(sim) -> SimResult:
                         if ch_kind[out] == _EJECT:
                             delivered = t + latency + phits - 1
                             stats.on_delivered(packet, delivered, phits)
-                            if obs is not None:
-                                obs.on_eject(
-                                    t,
-                                    packet,
-                                    delivered - packet.created,
-                                    phits,
-                                )
+                            if observing:
+                                if counting:
+                                    c_grants[out] += 1
+                                    c_cycle[t * n_cls + c_class[out]] += 1
+                                    c_latency[delivered - packet.created] += 1
+                                    c_hops[packet.hops] += 1
+                                if on_eject is not None:
+                                    on_eject(
+                                        t,
+                                        packet,
+                                        delivered - packet.created,
+                                        phits,
+                                    )
                         else:
                             slots = ch_slots[out]
                             # ---- mirrors _vc_class (again, as the
@@ -717,16 +751,22 @@ def run_fast(sim) -> SimResult:
                             packet.hops += 1
                             down_queue = ch_queues[out][w]
                             down_queue.append((t + latency, packet))
-                            if obs is not None:
-                                obs.on_hop(
-                                    t,
-                                    packet,
-                                    switch,
-                                    ch_dst[out],
-                                    w,
-                                    slots[w],
-                                    len(down_queue),
-                                )
+                            if observing:
+                                if counting:
+                                    c_grants[out] += 1
+                                    c_cycle[t * n_cls + c_class[out]] += 1
+                                    c_credits[slots[w]] += 1
+                                    c_vc_depth[len(down_queue)] += 1
+                                if on_hop is not None:
+                                    on_hop(
+                                        t,
+                                        packet,
+                                        switch,
+                                        ch_dst[out],
+                                        w,
+                                        slots[w],
+                                        len(down_queue),
+                                    )
                             arrive = t + latency
                             if arrive <= horizon:
                                 downstream = ch_dst[out]
@@ -757,10 +797,15 @@ def run_fast(sim) -> SimResult:
                                     )
                         granted.add(cid)
                         any_grant = True
-                if obs is not None and total_requests:
-                    obs.on_arbitrate(
-                        t, switch, total_requests, len(granted)
-                    )
+                if count_arb and total_requests:
+                    if counting:
+                        arb_passes += 1
+                        arb_requests += total_requests
+                        arb_grants += len(granted)
+                    if on_arbitrate is not None:
+                        on_arbitrate(
+                            t, switch, total_requests, len(granted)
+                        )
                 if any_grant:
                     nxt = t + 1
                     if nxt <= horizon:
@@ -824,8 +869,8 @@ def run_fast(sim) -> SimResult:
                             ]
                         if not ok:
                             sim.unroutable_packets += 1
-                            if obs is not None:
-                                obs.on_drop(t, terminal, packet)
+                            if on_drop is not None:
+                                on_drop(t, terminal, packet)
                         else:
                             cid = inject_channel[terminal]
                             queue = ch_queues[cid][0]
@@ -833,8 +878,15 @@ def run_fast(sim) -> SimResult:
                             qlen = len(queue)
                             if qlen > sim.max_inject_queue:
                                 sim.max_inject_queue = qlen
-                            if obs is not None:
-                                obs.on_inject(t, packet, qlen)
+                            if observing:
+                                if counting:
+                                    c_injects[t] += 1
+                                    try:
+                                        c_inject_depth[qlen] += 1
+                                    except IndexError:
+                                        RunCounters.grow(c_inject_depth, qlen)
+                                if on_inject is not None:
+                                    on_inject(t, packet, qlen)
                             if qlen == 1:
                                 blocked = ch_blocked[cid]
                                 when = blocked if blocked > t else t
@@ -889,8 +941,8 @@ def run_fast(sim) -> SimResult:
                     ]
                 if not ok:
                     sim.unroutable_packets += 1
-                    if obs is not None:
-                        obs.on_drop(t, terminal, packet)
+                    if on_drop is not None:
+                        on_drop(t, terminal, packet)
                 else:
                     cid = inject_channel[terminal]
                     queue = ch_queues[cid][0]
@@ -898,8 +950,15 @@ def run_fast(sim) -> SimResult:
                     qlen = len(queue)
                     if qlen > sim.max_inject_queue:
                         sim.max_inject_queue = qlen
-                    if obs is not None:
-                        obs.on_inject(t, packet, qlen)
+                    if observing:
+                        if counting:
+                            c_injects[t] += 1
+                            try:
+                                c_inject_depth[qlen] += 1
+                            except IndexError:
+                                RunCounters.grow(c_inject_depth, qlen)
+                        if on_inject is not None:
+                            on_inject(t, packet, qlen)
                     if qlen == 1:
                         blocked = ch_blocked[cid]
                         when = blocked if blocked > t else t
@@ -921,6 +980,11 @@ def run_fast(sim) -> SimResult:
         t += 1
 
     sim._next_serial = next_serial
+    if counters is not None:
+        counters.drops += sim.unroutable_packets - unroutable_before
+        counters.arb_passes += arb_passes
+        counters.arb_requests += arb_requests
+        counters.arb_grants += arb_grants
     result = SimResult.from_stats(
         stats,
         offered_load=sim.load,
@@ -929,6 +993,6 @@ def run_fast(sim) -> SimResult:
         topology=topo.name,
         unroutable_packets=sim.unroutable_packets,
     )
-    if obs is not None:
-        obs.on_run_end(sim, result)
+    if sim.observer is not None:
+        sim.observer.on_run_end(sim, result)
     return result

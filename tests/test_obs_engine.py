@@ -13,6 +13,7 @@ from repro.obs import (
     TraceWriter,
     TracingObserver,
 )
+from repro.obs.hooks import EVENT_HOOKS
 from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator, simulate
 from repro.simulation.traffic import make_traffic
@@ -170,6 +171,146 @@ class TestMultiObserver:
         bare = run_instrumented(rfc_small, None)
         noop = run_instrumented(rfc_small, SimObserver())
         assert bare == noop
+
+
+class _Logger(SimObserver):
+    """Appends ``(name, hook)`` to a shared log on every hook it owns."""
+
+    def __init__(self, name: str, log: list) -> None:
+        self.name = name
+        self.log = log
+
+
+class _EjectLogger(_Logger):
+    def on_eject(self, time, packet, latency, phits):
+        self.log.append((self.name, "on_eject"))
+
+
+class _HopEjectLogger(_EjectLogger):
+    def on_hop(self, time, packet, src, dst, vc, credits_left, queue_len):
+        self.log.append((self.name, "on_hop"))
+
+
+@pytest.fixture
+def noop_calls(monkeypatch):
+    """Replaces every per-event no-op of :class:`SimObserver` by a spy;
+    the returned list names each hook a spy received."""
+    calls: list[str] = []
+    for name in EVENT_HOOKS:
+
+        def spy(self, *args, name=name):
+            calls.append(name)
+
+        monkeypatch.setattr(SimObserver, name, spy)
+    return calls
+
+
+class TestHookRouting:
+    """Engines call only the hooks some observer overrides."""
+
+    def test_multi_fans_out_only_to_overriders_in_order(self):
+        log: list = []
+        a = _EjectLogger("a", log)
+        b = _HopEjectLogger("b", log)
+        c = _EjectLogger("c", log)
+        multi = MultiObserver([a, SimObserver(), b, MetricsObserver(), c])
+        multi.hook("on_eject")(0, None, 1, 16)
+        assert log == [("a", "on_eject"), ("b", "on_eject"), ("c", "on_eject")]
+        # A single overrider is handed out directly, no fan-out wrapper.
+        assert multi.hook("on_hop") == b.on_hop
+        for name in ("on_inject", "on_drop", "on_arbitrate"):
+            assert multi.hook(name) is None
+        log.clear()
+        multi.hook("on_hop")(0, None, 1, 2, 0, 3, 1)
+        multi.hook("on_eject")(0, None, 1, 16)
+        assert log == [
+            ("b", "on_hop"),
+            ("a", "on_eject"),
+            ("b", "on_eject"),
+            ("c", "on_eject"),
+        ]
+
+    def test_nested_multi_resolves_through(self):
+        log: list = []
+        inner = MultiObserver([_EjectLogger("x", log), SimObserver()])
+        outer = MultiObserver([inner, _EjectLogger("y", log)])
+        outer.hook("on_eject")(0, None, 1, 16)
+        assert log == [("x", "on_eject"), ("y", "on_eject")]
+        assert outer.hook("on_hop") is None
+
+    def test_metrics_observer_keeps_every_noop(self):
+        for name in EVENT_HOOKS:
+            assert getattr(MetricsObserver, name) is getattr(SimObserver, name)
+            assert MetricsObserver().hook(name) is None
+        assert MetricsObserver.wants_counters
+        assert MultiObserver([SimObserver(), MetricsObserver()]).wants_counters
+        assert not MultiObserver([SimObserver()]).wants_counters
+
+    def test_quiet_tracer_skips_arbitration(self):
+        writer = TraceWriter(None)
+        assert TracingObserver(writer).hook("on_arbitrate") is None
+        assert TracingObserver(writer, include_arb=True).hook("on_arbitrate")
+
+    @pytest.mark.parametrize("mode", sorted(ENGINE_PARAMS))
+    def test_eject_only_observer_gets_only_ejects(
+        self, rfc_small, mode, noop_calls
+    ):
+        log: list = []
+        result = run_instrumented(
+            rfc_small, _EjectLogger("e", log), params=ENGINE_PARAMS[mode]
+        )
+        assert len(log) == result.delivered_packets > 0
+        assert noop_calls == []
+
+    @pytest.mark.parametrize("mode", sorted(ENGINE_PARAMS))
+    def test_metrics_adds_no_per_event_call(self, rfc_small, mode, noop_calls):
+        observer = MetricsObserver()
+        result = run_instrumented(
+            rfc_small, observer, params=ENGINE_PARAMS[mode]
+        )
+        assert noop_calls == []
+        export = observer.export()
+        assert export["counters"]["eject.packets"] == result.delivered_packets
+
+    @pytest.mark.parametrize("mode", sorted(ENGINE_PARAMS))
+    def test_counters_only_when_wanted(self, rfc_small, mode):
+        params = ENGINE_PARAMS[mode]
+        traffic = make_traffic("uniform", rfc_small.num_terminals, rng=1)
+        quiet = Simulator(rfc_small, traffic, 0.5, params, observer=SimObserver())
+        quiet.run()
+        assert quiet.run_counters is None
+        counted = Simulator(
+            rfc_small, traffic, 0.5, params, observer=MetricsObserver()
+        )
+        result = counted.run()
+        assert counted.run_counters is not None
+        assert sum(counted.run_counters.latency) == result.delivered_packets
+
+    def test_export_is_empty_until_run_end(self, rfc_small):
+        metrics = MetricsObserver()
+        seen: list[dict] = []
+
+        class Peek(SimObserver):
+            def on_eject(self, time, packet, latency, phits):
+                if not seen:
+                    seen.append(metrics.export())
+
+        run_instrumented(rfc_small, MultiObserver([metrics, Peek()]))
+        assert seen and seen[0]["counters"] == {}
+        assert metrics.export()["counters"]["eject.packets"] > 0
+
+
+class TestTsBuckets:
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
+    def test_non_positive_or_non_int_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError, match="ts_buckets"):
+            MetricsObserver(ts_buckets=bad)
+
+    def test_bucket_width_follows_ts_buckets(self, rfc_small):
+        observer = MetricsObserver(ts_buckets=10)
+        run_instrumented(rfc_small, observer)
+        series = observer.export()["timeseries"]["ts.delivered_phits"]
+        assert series["width"] == FAST.horizon // 10
 
 
 class TestSortedInspectionKeys:

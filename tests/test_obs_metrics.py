@@ -140,6 +140,16 @@ class TestMerge:
         b = {"gauges": {"g": {"last": 2.0, "max": 4.0}}}
         assert merge_metrics([a, b])["gauges"]["g"]["max"] == 9.0
 
+    def test_merged_gauges_drop_last(self):
+        """A cross-worker ``last`` depends on merge order; only the
+        max-of-max survives, so reversed inputs merge to equal bytes."""
+        a = {"gauges": {"g": {"last": 1.0, "max": 9.0}}}
+        b = {"gauges": {"g": {"last": 2.0, "max": 4.0}}}
+        assert merge_metrics([a, b])["gauges"] == {"g": {"max": 9.0}}
+        ab = json.dumps(merge_metrics([a, b]), sort_keys=True)
+        ba = json.dumps(merge_metrics([b, a]), sort_keys=True)
+        assert ab == ba
+
     def test_histogram_buckets_add(self):
         a = {"histograms": {"h": {"count": 2, "sum": 3, "buckets": {"1": 1, "2": 1}}}}
         b = {"histograms": {"h": {"count": 1, "sum": 2, "buckets": {"2": 1}}}}
