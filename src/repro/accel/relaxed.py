@@ -13,22 +13,35 @@ packet_id, cycle, draw_site)`` through the counter-based generator in
 request/grant phase collapses into a handful of numpy passes:
 
 * **request** -- one gather of every ready head's candidate row
-  against the fused ``(class, channel)`` gate vector (the channel's
-  busy-until time while the class has downstream credit,
-  ``EMPTY_READY`` while it does not), then one keyed draw per
+  against the ``(class, channel)`` gate matrix (the channel's
+  busy-until time while one of the class's VCs has a downstream
+  credit, ``EMPTY_READY`` while none has), then one keyed draw per
   head picks among its viable outputs (``randbelow`` by modulo);
 * **grant** -- contenders for the same output race by keyed 64-bit
-  priority: a single ``lexsort`` over ``(output, priority)`` and a
-  segment-boundary scan yield the per-output winners, which is exactly
-  a uniform pick among each output's contenders;
+  priority: one ``argsort`` of a fused ``(output, priority)`` key and
+  a segment-boundary scan yield the per-output winners, which is
+  exactly a uniform pick among each output's contenders;
+* **apply** -- the round's winners hold distinct outputs and distinct
+  input units, so their bookkeeping is one batch of fancy-indexed
+  writes: pop, downstream VC pick among the class's free VCs, push,
+  credit scheduling, gate updates and head exposure;
 * **traffic** -- Bernoulli inter-arrival gaps and uniform destinations
   are pregenerated for the whole horizon as one ``(terminals, draws)``
   keyed matrix (stateful patterns keep a per-arrival
   :class:`~repro.accel.rng.KeyedStream`).
 
-Only the grant *bookkeeping* (queue pops, credit scheduling, head
-exposure) stays scalar, and it is proportional to actual grants, not
-to scans.
+State lives in arrays.  Packets are rows of arrival-ordered arrays
+(destination, creation cycle, hops, serial, Valiant via); each link VC
+buffer is a ``buffer_packets``-slot ring of rows, and an injection
+queue is its terminal's rows in arrival order, whose head becomes
+ready when it has arrived and the injection link is free.  A hook-free
+round makes no per-packet Python call; deliveries and the queue-depth
+histograms are reduced once, at run end.  Per-event hooks and traces
+still see every event, in the order the scalar engine raised them,
+through one :class:`~repro.simulation.packet.Packet` per packet, made
+only for packets a hook or trace sees; at run end the packets still
+queued are written back into ``sim.ch_queues`` as ``(ready, Packet)``
+entries.
 
 What "relaxed" changes observably
 ---------------------------------
@@ -72,12 +85,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..obs.counters import RunCounters
 from ..obs.hooks import begin_run
+from ..simulation.engine import _EJECT
 from ..simulation.packet import Packet
 from ..simulation.stats import SimResult, SimStats
-from array import array
-
+from ..simulation.traffic import UniformTraffic
 from .rng import (
     SITE_BITS,
     SITE_DEST,
@@ -86,7 +98,6 @@ from .rng import (
     SITE_TRAFFIC,
     SITE_VIA,
     KeyedStream,
-    draw64,
     draw64_array,
     key_seed,
     mix64_array,
@@ -98,11 +109,8 @@ if TYPE_CHECKING:
 
 __all__ = ["run_relaxed", "build_relaxed_candidates", "build_padded_candidates"]
 
-# Channel tags, kept in sync with repro.simulation.engine.
-_LINK, _INJECT, _EJECT = 0, 1, 2
-
 #: Sentinel "effective ready time" for a unit with no head packet (and
-#: the never-passes gate of a class with no downstream credit).
+#: the never-passing gate of a class with no downstream credit).
 EMPTY_READY = 1 << 60
 
 #: Salts deriving the grant-priority and VC-pick lanes from the
@@ -191,13 +199,241 @@ def build_relaxed_candidates(sim):
     return sim._relaxed_pad
 
 
+def _arrivals(sim, hseed: int) -> tuple:
+    """Every packet the run generates, in arrival order.
+
+    Returns ``(time, terminal, dst, serial, next_serial)``: four int64
+    arrays sorted by ``(time, terminal)`` and the simulator's next free
+    serial after them.  Bernoulli inter-arrival gaps and uniform
+    destinations are pregenerated for the whole horizon as one keyed
+    ``(terminal, draw)`` matrix; other patterns draw each destination
+    through a :class:`~repro.accel.rng.KeyedStream`, in arrival order,
+    and a terminal whose lookup fails generates nothing from then on
+    (as in the reference).  Flow workloads (duck-typed on
+    ``flow_schedule``) replace all of it with the schedule's
+    pre-sorted releases, whose serials identify flows across engines.
+    """
+    params = sim.params
+    horizon = params.horizon
+    traffic = sim.traffic
+    num_terminals = sim.topo.num_terminals
+    next_serial = sim._next_serial
+    flow_schedule = getattr(traffic, "flow_schedule", None)
+    if flow_schedule is not None:
+        time, terminal, dst, serial = (
+            np.array(column, dtype=np.int64)
+            for column in flow_schedule.arrival_lists(horizon)
+        )
+        if serial.size:
+            next_serial = max(next_serial, int(serial.max()) + 1)
+        return time, terminal, dst, serial, next_serial
+
+    rate = sim.load / params.packet_phits  # packets / terminal / cycle
+    silent = getattr(traffic, "is_silent", None)
+    active = np.array(
+        [
+            term
+            for term in range(num_terminals)
+            if silent is None or not silent(term)
+        ],
+        dtype=np.int64,
+    )
+    empty = np.zeros(0, dtype=np.int64)
+    if not active.size:
+        return empty, empty, empty, empty, next_serial
+    # Mirrors the reference's per-terminal walk ``next = t +
+    # floor(log(u)/log1p(-rate)) + 1`` with the first arrival at
+    # ``gap - 1``; chunks extend until every schedule passes the horizon.
+    log1m = math.log1p(-rate) if rate < 1.0 else None
+    act_u64 = active.astype(np.uint64)[:, None]
+    chunks: list[np.ndarray] = []
+    offs = np.zeros(len(active), dtype=np.int64)
+    k0 = 0
+    kchunk = (
+        horizon + 1
+        if log1m is None
+        else int(horizon * rate + 6.0 * math.sqrt(horizon * rate) + 16.0)
+    )
+    while True:
+        ks = np.arange(k0, k0 + kchunk, dtype=np.uint64)[None, :]
+        if log1m is None:
+            gaps = np.ones((len(active), kchunk), dtype=np.int64)
+        else:
+            u = uniform01_array(
+                hseed, act_u64, (ks << _U64(SITE_BITS)) | _U64(SITE_GAP)
+            )
+            safe = np.where(u > 0.0, u, 0.5)
+            gaps = (np.log(safe) / log1m).astype(np.int64) + 1
+            gaps[u == 0.0] = 1
+        csum = np.cumsum(gaps, axis=1)
+        csum += offs[:, None]
+        chunks.append(csum)
+        offs = csum[:, -1].copy()
+        k0 += kchunk
+        if int(offs.min()) > horizon:
+            break
+        kchunk = max(64, kchunk // 4)
+    times = np.concatenate(chunks, axis=1) - 1
+    rows, cols = np.nonzero(times <= horizon)
+    order = np.lexsort((active[rows], times[rows, cols]))
+    time = times[rows, cols][order]
+    terminal = active[rows][order]
+    draw = cols[order].astype(np.int64)
+
+    if type(traffic) is UniformTraffic and num_terminals > 1:
+        term_u = terminal.astype(np.uint64)
+        r = draw64_array(
+            hseed,
+            term_u,
+            (draw.astype(np.uint64) << _U64(SITE_BITS)) | _U64(SITE_DEST),
+        ) % _U64(num_terminals - 1)
+        dst = r.astype(np.int64) + (r >= term_u)
+    else:
+        destination = traffic.destination
+        dead = bytearray(num_terminals)
+        kept: list[int] = []
+        dsts: list[int] = []
+        for i, (term, k) in enumerate(zip(terminal.tolist(), draw.tolist())):
+            if dead[term]:
+                continue
+            try:
+                dsts.append(
+                    destination(
+                        term,
+                        KeyedStream(hseed, term, (k << SITE_BITS) | SITE_TRAFFIC),
+                    )
+                )
+            except LookupError:
+                dead[term] = 1
+                continue
+            kept.append(i)
+        time = time[kept]
+        terminal = terminal[kept]
+        dst = np.array(dsts, dtype=np.int64)
+    serial = np.arange(next_serial, next_serial + len(time), dtype=np.int64)
+    return time, terminal, dst, serial, next_serial + len(time)
+
+
+def _valiant_vias(
+    hseed, serial, src_switch, dst_col, routable, leaf_switch, n_dests,
+    hosts, num_terminals,
+) -> np.ndarray:
+    """Valiant intermediate terminal per packet, ``-1`` for none.
+
+    Up to eight keyed draws per packet; the first whose leaf both the
+    source leaf and the destination reach is kept.
+    """
+    via = np.full(len(serial), -1, dtype=np.int64)
+    pending = np.arange(len(serial))
+    for attempt in range(8):
+        if not pending.size:
+            break
+        v = (
+            draw64_array(
+                hseed,
+                serial[pending].astype(np.uint64),
+                (attempt << SITE_BITS) | SITE_VIA,
+            )
+            % _U64(num_terminals)
+        ).astype(np.int64)
+        v_leaf = v // hosts
+        ok = (
+            routable[src_switch[pending] * n_dests + v_leaf]
+            & routable[leaf_switch[v_leaf] * n_dests + dst_col[pending]]
+        )
+        via[pending[ok]] = v[ok]
+        pending = pending[~ok]
+    return via
+
+
+def _add_counts(bins: list[int], values: list[np.ndarray]) -> None:
+    """Count every value of ``values`` into the value-indexed ``bins``,
+    extending them to reach the largest."""
+    if not values:
+        return
+    counts = np.bincount(np.concatenate(values), minlength=len(bins))
+    bins.extend([0] * (len(counts) - len(bins)))
+    bins[:] = (np.asarray(bins, dtype=np.int64) + counts).tolist()
+
+
+def _true_cells(mask: np.ndarray) -> tuple:
+    """``(cells, counts, first)`` of a 2-D boolean ``mask``: the flat
+    indices of its True cells in row-major order, the count per row,
+    and the position in ``cells`` of each row's first one.  The
+    ``k``-th True cell of row ``i`` is ``cells[first[i] + k]``."""
+    cells = mask.reshape(-1).nonzero()[0]
+    counts = np.bincount(cells // mask.shape[1], minlength=len(mask))
+    return cells, counts, counts.cumsum() - counts
+
+
+def _arrival_depths(by_term, a_term, a_time, p_inj, q_pos, q_start, horizon):
+    """Injection-queue depth right after each routable arrival, in
+    ``by_term`` order: the packet's place in its terminal's queue minus
+    the packets that left before its arrival cycle (pops come after
+    arrivals within a cycle).  Packets leave in queue order, so the
+    ``(terminal, injection cycle)`` keys are sorted along ``by_term``;
+    a packet still queued at run end leaves after the horizon."""
+    keys = horizon + 2
+    term = a_term[by_term]
+    left = p_inj[by_term]
+    left[left < 0] = horizon + 1
+    left_before = np.searchsorted(
+        term * keys + left, term * keys + a_time[by_term]
+    )
+    return q_pos[by_term] + 1 - (left_before - q_start[term])
+
+
+def _record_deliveries(stats, rows, at, a_time, p_hops, phits) -> tuple:
+    """Fold the run's deliveries -- arrays of rows delivered at cycles
+    ``at`` -- into ``stats`` as per-delivery ``SimStats.on_delivered``
+    calls would, in the same order (including the lazy ``batch_phits``
+    init on the first delivery inside the measurement window).
+    Returns every delivery's latency and hop count."""
+    time = np.repeat(np.asarray(at, dtype=np.int64), [r.size for r in rows])
+    rows = np.concatenate(rows or [np.zeros(0, dtype=np.int64)])
+    latency = time - a_time[rows]
+    hops = p_hops[rows]
+    stats.delivered_packets += rows.size
+    measured = (time >= stats.warmup) & (time <= stats.horizon)
+    m_lat = latency[measured]
+    if m_lat.size:
+        nb = stats.num_batches
+        if not stats.batch_phits:
+            stats.batch_phits = [0] * nb
+        buckets = np.minimum(
+            (time[measured] - stats.warmup)
+            * nb
+            // (stats.horizon - stats.warmup),
+            nb - 1,
+        )
+        for bi, count in enumerate(np.bincount(buckets, minlength=nb)):
+            stats.batch_phits[bi] += int(count) * phits
+        stats.measured_packets += m_lat.size
+        stats.measured_phits += m_lat.size * phits
+        stats.measured_latency_sum += int(m_lat.sum())
+        stats.measured_hops_sum += int(hops[measured].sum())
+        stats.max_latency = max(stats.max_latency, int(m_lat.max()))
+        stats.latencies.extend(m_lat.tolist())
+    return latency, hops
+
+
+def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``starts[i], starts[i] + 1, ..., starts[i] + lens[i] - 1`` for
+    every ``i``, concatenated."""
+    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(
+        lens.sum()
+    )
+
+
 def run_relaxed(sim) -> SimResult:
     """Execute ``sim`` through the relaxed counter-RNG engine.
 
     Deterministic per ``(topology, params, seed)``; statistically --
     not bit-for-bit -- equivalent to the exact engines (module
-    docstring).  Shares the simulator's channel state lists, so
-    post-run inspection (``link_utilization`` etc.) works identically.
+    docstring).  The run keeps its state in arrays and writes it back
+    into the simulator's channel lists at the end, so post-run
+    inspection (``link_utilization``, ``ch_queues`` etc.) works as on
+    the exact engines.
     """
     params = sim.params
     stats = SimStats(warmup=params.warmup_cycles, horizon=params.horizon)
@@ -207,33 +443,17 @@ def run_relaxed(sim) -> SimResult:
     latency = params.link_latency
     warmup = params.warmup_cycles
     vcs = params.virtual_channels
-    rate = sim.load / phits  # packets / terminal / cycle
+    buffers = params.buffer_packets
     topo = sim.topo
-    traffic = sim.traffic
     direct = sim._direct
     valiant = params.valiant and not direct
     iterations = params.arbitration_iterations
+    multi_iter = iterations > 1
     trace_limit = sim.trace_limit
     traces = sim.traces
+    tracing = trace_limit > 0
     num_terminals = topo.num_terminals
     hseed = key_seed(params.seed)
-
-    # Delivery statistics accumulate in locals (flushed into ``stats``
-    # at run end): the eject branch is hot enough that the
-    # ``SimStats.on_delivered`` method call shows up in profiles.
-    nb = stats.num_batches
-    window = horizon - warmup
-    delivered_total = 0
-    m_packets = 0
-    m_latsum = 0
-    m_hopsum = 0
-    m_maxlat = 0
-    batch_local = [0] * nb
-    lat_append = stats.latencies.append
-    generated_local = 0
-    injected_local = 0
-    unroutable_local = 0
-    max_injectq = sim.max_inject_queue
 
     # ---- routing tables (shared with the fast engine) ------------------
     from ..simulation.fastpath import build_candidate_table
@@ -241,358 +461,256 @@ def run_relaxed(sim) -> SimResult:
     table = build_candidate_table(sim)
     n_dests = table.num_dests
     n_keys = len(table.flags)
-    # One byte per key (indexing gives 0/1): the engine reads only
-    # routability from the table, the candidates come from ``cand_ext``.
-    routable = (table.flags != table.UNROUTABLE).tobytes()
-
-    ch_src = sim.ch_src
-    ch_dst = sim.ch_dst
-    ch_kind = sim.ch_kind
-    ch_peer = sim.ch_peer
-    ch_slots = sim.ch_slots
-    ch_queues = sim.ch_queues
-    ch_blocked = sim.ch_blocked
-    eject_channel = sim.eject_channel
-    inject_channel = sim.inject_channel
-    n_ch = len(ch_kind)
-    n_sw = len(sim.in_units)
-    # Byte flags beat list-index-plus-compare in the per-grant loop.
-    is_eject = bytearray(1 if k == _EJECT else 0 for k in ch_kind)
-    is_link = bytearray(1 if k == _LINK else 0 for k in ch_kind)
-    # Busy times and busy-cycle accounting move to numpy mirrors so a
-    # round's winners update in one fancy-indexed write; the
-    # simulator's lists are refreshed at run end (post-run inspection
-    # like ``link_utilization`` reads them).
-    busy_np = np.array(sim.ch_busy, dtype=np.int64)
-    busycyc_np = np.array(sim.ch_busy_cycles, dtype=np.int64)
-
-    # ---- destination decomposition (mirrors the fast path) -------------
-    if direct:
-        dest_switch = [topo.terminal_switch(t) for t in range(num_terminals)]
-        hosts = 0
-        leaf_switch: list[int] = []
-        dest_leaf: list[int] = []
-        vcs_cap = vcs - 1
-        n_classes = vcs
-    else:
-        hosts = topo.hosts_per_leaf
-        leaf_switch = [topo.switch_id(0, i) for i in range(topo.num_leaves)]
-        dest_leaf = [t // hosts for t in range(num_terminals)]
-        dest_switch = []
-        vcs_cap = 0
-        n_classes = 3  # rows: 0 = all VCs, 1 = Valiant lower, 2 = upper
-    half = vcs // 2
-    if direct:
-        class_range = [(w, w + 1) for w in range(vcs)]
-    else:
-        class_range = [(0, vcs), (0, half), (half, vcs)]
-
-    # ---- struct-of-arrays unit state -----------------------------------
-    # One unit per (channel, vc) input queue, in ``sim.in_units`` order
-    # (grant-apply order follows output-channel ids, so unit order only
-    # has to be deterministic, which it is).
-    unit_cid: list[int] = []
-    unit_vc: list[int] = []
-    unit_queue: list = []
-    unit_inject: list[bool] = []
-    unit_switch: list[int] = []
-    for s, row in enumerate(sim.in_units):
-        for cid, vc in row:
-            unit_cid.append(cid)
-            unit_vc.append(vc)
-            unit_queue.append(ch_queues[cid][vc])
-            unit_inject.append(ch_kind[cid] == _INJECT)
-            unit_switch.append(s)
-    n_units = len(unit_cid)
-    unit_of: list[list[int] | None] = [None] * n_ch
-    for u in range(n_units):
-        row_ids = unit_of[unit_cid[u]]
-        if row_ids is None:
-            row_ids = unit_of[unit_cid[u]] = [-1] * vcs
-        row_ids[unit_vc[u]] = u
-    inject_unit = [unit_of[inject_channel[t]][0] for t in range(num_terminals)]
-
-    # Typed head mirrors, shared zero-copy with numpy views: the scalar
-    # grant loop writes single slots, the batched request phase reads
-    # whole vectors.  ``serial`` feeds the keyed draws (uint64 lanes).
-    ready_a = array("q", [EMPTY_READY] * n_units)
-    vkey_a = array("q", [n_keys] * n_units)
-    cls_a = array("q", [0] * n_units)
-    serial_a = array("Q", [0] * n_units)
-    ready_np = np.frombuffer(ready_a, dtype=np.int64)
-    vkey_np = np.frombuffer(vkey_a, dtype=np.int64)
-    cls_np = np.frombuffer(cls_a, dtype=np.int64)
-    serial_np = np.frombuffer(serial_a, dtype=np.uint64)
-    sw_np = np.array(unit_switch, dtype=np.int64)
-    cid_np = np.array(unit_cid, dtype=np.int64)
-
-    cand_ext, width = build_relaxed_candidates(sim)
+    routable = table.flags != table.UNROUTABLE
+    cand_ext, _width = build_relaxed_candidates(sim)
     blocked_row = n_keys
     deliver_base = n_keys + 1
 
-    # Fused viability gates, one dummy column: ``gate[cls * stride + c]``
-    # is the cycle from which class ``cls`` may take channel ``c``
-    # (EMPTY_READY while the class has no downstream credit); column
-    # ``n_ch`` is the permanently-blocked candidate padding.  Eject
-    # channels carry real gates (busy time only -- delivery consumes no
-    # buffer credit), open in every class row.
-    stride = n_ch + 1
-    gate_a = array("q", [EMPTY_READY] * (n_classes * stride))
-    gate_np = np.frombuffer(gate_a, dtype=np.int64)
-    for cid in range(n_ch):
-        kind = ch_kind[cid]
-        if kind == _EJECT:
-            for c in range(n_classes):
-                gate_a[c * stride + cid] = 0
-            continue
-        if kind != _LINK:
-            continue
-        slots = ch_slots[cid]
-        if direct:
-            for w in range(vcs):
-                if slots[w] > 0:
-                    gate_a[w * stride + cid] = 0
-        else:
-            gate_a[cid] = 0
-            if any(slots[:half]):
-                gate_a[stride + cid] = 0
-            if any(slots[half:]):
-                gate_a[2 * stride + cid] = 0
-    uniform_cls = not direct and not valiant
-
-    # Per-channel bitmask of virtual channels with free downstream
-    # slots: the grant loop picks the k-th set bit through a
-    # precomputed table instead of re-scanning the slot list.  Falls
-    # back to the scan for implausibly wide VC counts.
-    use_mask = vcs <= 12
-    if use_mask:
-        free_mask = [0] * n_ch
-        for cid in range(n_ch):
-            if ch_kind[cid] == _LINK:
-                slots = ch_slots[cid]
-                free_mask[cid] = sum(
-                    1 << w for w in range(vcs) if slots[w] > 0
-                )
-        bit_table = [
-            [w for w in range(vcs) if (m >> w) & 1] for m in range(1 << vcs)
-        ]
-        full_vc_mask = (1 << vcs) - 1
-    else:
-        free_mask = []
-        bit_table = []
-        full_vc_mask = 0
-
-    # ---- head exposure --------------------------------------------------
-    def expose_general(u: int, switch: int, now: int) -> None:
-        """Mirror a unit's new head packet into the typed state."""
-        queue = unit_queue[u]
-        ready, packet = queue[0]
-        if unit_inject[u]:
-            blocked = ch_blocked[unit_cid[u]]
-            if blocked > ready:
-                ready = blocked
-        ready_a[u] = ready
-        serial_a[u] = packet.serial
-        if direct:
-            dsw = dest_switch[packet.dst]
-            key = -1 if switch == dsw else switch * n_dests + dsw
-            h = packet.hops
-            cls = h if h < vcs_cap else vcs_cap
-        else:
-            via = packet.via
-            key = None
-            if via is not None:
-                via_leaf = via // hosts
-                if switch == leaf_switch[via_leaf]:
-                    packet.via = None  # randomization phase complete
-                else:
-                    key = switch * n_dests + via_leaf
-                    cls = 1 if valiant else 0
-            if key is None:
-                dleaf = dest_leaf[packet.dst]
-                key = (
-                    -1
-                    if switch == leaf_switch[dleaf]
-                    else switch * n_dests + dleaf
-                )
-                cls = 2 if valiant else 0
-        cls_a[u] = cls
-        if key < 0:
-            vkey_a[u] = deliver_base + packet.dst
-        elif routable[key]:
-            vkey_a[u] = key
-        else:
-            if not direct:
-                # Unroutable head on folded Clos: replay the reference
-                # router so the identical RoutingError surfaces (cannot
-                # happen for generated traffic -- injection filters by
-                # the routability table -- but keeps the engines'
-                # failure behavior aligned).
-                sim._output_candidates(switch, packet)
-            vkey_a[u] = blocked_row
-
-    # The dominant configuration (folded Clos, no Valiant: single class
-    # row, no ``via`` phase, ``cls`` stays 0) gets its exposure logic
-    # inlined at the three hot call sites below, resolved through a
-    # per-(switch, destination) key table; every other configuration
-    # -- and any topology too large for the table -- goes through the
-    # general closure.  -1 marks an unroutable pair whose reference
-    # RoutingError replay must stay lazy.
-    expose = expose_general
-    uniform_tab = uniform_cls and n_sw * num_terminals <= 2_000_000
-    vkey_of: list[list[int]] = []
-    if uniform_tab:
-        # Every host of a leaf keys alike, so a row spreads one
-        # per-leaf list over the destinations: the row entries share
-        # one int object per (switch, leaf) instead of allocating one
-        # per (switch, destination).
-        leaf_at = {sw: leaf for leaf, sw in enumerate(leaf_switch)}
-        for s in range(n_sw):
-            base = s * n_dests
-            per_leaf = [
-                k if routable[k] else -1 for k in range(base, base + n_dests)
-            ]
-            row = list(map(per_leaf.__getitem__, dest_leaf))
-            leaf = leaf_at.get(s)
-            if leaf is not None:
-                lo = leaf * hosts
-                row[lo : lo + hosts] = range(
-                    deliver_base + lo, deliver_base + lo + hosts
-                )
-            vkey_of.append(row)
-
-    # ---- pregenerated traffic ------------------------------------------
-    # One keyed (terminal, draw-index) matrix of Bernoulli gaps covers
-    # the whole horizon; chunks extend until every active terminal's
-    # schedule passes it.  Mirrors the reference's per-terminal walk
-    # ``next = t + floor(log(u)/log1p(-rate)) + 1`` with the first
-    # arrival at ``gap - 1``.
-    silent = getattr(traffic, "is_silent", None)
-    active = [
-        term
-        for term in range(num_terminals)
-        if silent is None or not silent(term)
-    ]
-    log1m = math.log1p(-rate) if rate < 1.0 else None
-    # Flow workloads (duck-typed on ``flow_schedule``) replace the
-    # Bernoulli pregeneration entirely: the schedule's flattened
-    # per-packet arrival arrays come pre-sorted by (time, terminal,
-    # serial) -- the same time-major order the lexsort below produces
-    # -- with destinations and serials pinned by the schedule, so no
-    # counter-RNG is consumed for arrivals or destinations.
-    flow_schedule = getattr(traffic, "flow_schedule", None)
-    flow_mode = flow_schedule is not None
-    if flow_mode:
-        arr_time_l, arr_term_l, arr_dst_l, arr_serial_l = (
-            flow_schedule.arrival_lists(horizon)
-        )
-        arr_k_l: list[int] = []
-    elif active:
-        act_np = np.array(active, dtype=np.int64)
-        act_u64 = act_np.astype(np.uint64)[:, None]
-        chunks: list[np.ndarray] = []
-        offs = np.zeros(len(active), dtype=np.int64)
-        k0 = 0
-        kchunk = (
-            horizon + 1
-            if log1m is None
-            else int(horizon * rate + 6.0 * math.sqrt(horizon * rate) + 16.0)
-        )
-        while True:
-            ks = np.arange(k0, k0 + kchunk, dtype=np.uint64)[None, :]
-            if log1m is None:
-                gaps = np.ones((len(active), kchunk), dtype=np.int64)
-            else:
-                u = uniform01_array(
-                    hseed, act_u64, (ks << _U64(SITE_BITS)) | _U64(SITE_GAP)
-                )
-                safe = np.where(u > 0.0, u, 0.5)
-                gaps = (np.log(safe) / log1m).astype(np.int64) + 1
-                gaps[u == 0.0] = 1
-            csum = np.cumsum(gaps, axis=1)
-            csum += offs[:, None]
-            chunks.append(csum)
-            offs = csum[:, -1].copy()
-            k0 += kchunk
-            if int(offs.min()) > horizon:
-                break
-            kchunk = max(64, kchunk // 4)
-        times = np.concatenate(chunks, axis=1) - 1
-        rows, cols = np.nonzero(times <= horizon)
-        arr_time = times[rows, cols]
-        arr_term = act_np[rows]
-        arr_k = cols.astype(np.int64)
-        order = np.lexsort((arr_term, arr_time))
-        arr_time_l = arr_time[order].tolist()
-        arr_term_l = arr_term[order].tolist()
-        arr_k_l = arr_k[order].tolist()
-    else:
-        arr_time_l = []
-        arr_term_l = []
-        arr_k_l = []
-    n_arr = len(arr_time_l)
-
-    from ..simulation.traffic import UniformTraffic
-
-    uniform_dst = (
-        not flow_mode
-        and type(traffic) is UniformTraffic
-        and num_terminals > 1
+    # ---- channels and input units --------------------------------------
+    # Links come first in the channel arrays.  Unit ``c * vcs + w`` is
+    # VC ``w`` of link ``c``; unit ``n_lu + t`` is terminal ``t``'s
+    # injection queue.  Grants apply in output order, so unit order
+    # only has to be deterministic.
+    n_ch = len(sim.ch_kind)
+    n_link = sim.n_link_channels
+    n_sw = topo.num_switches
+    ch_dst = np.asarray(sim.ch_dst, dtype=np.int64)
+    is_eject = np.asarray(sim.ch_kind) == _EJECT
+    inject_cid = np.asarray(sim.inject_channel, dtype=np.int64)
+    term_switch = ch_dst[inject_cid]
+    n_lu = n_link * vcs
+    unit_sw = np.concatenate((np.repeat(ch_dst[:n_link], vcs), term_switch))
+    n_units = len(unit_sw)
+    busy = np.array(sim.ch_busy, dtype=np.int64)
+    busy_cycles = np.array(sim.ch_busy_cycles, dtype=np.int64)
+    blocked = np.asarray(sim.ch_blocked, dtype=np.int64)[inject_cid]
+    slots = np.array(sim.ch_slots[:n_link], dtype=np.int64).reshape(
+        n_link, vcs
     )
-    if uniform_dst and n_arr:
-        term_u = np.array(arr_term_l, dtype=np.uint64)
-        k_u = np.array(arr_k_l, dtype=np.uint64)
-        r = draw64_array(
-            hseed, term_u, (k_u << _U64(SITE_BITS)) | _U64(SITE_DEST)
-        ) % _U64(num_terminals - 1)
-        arr_dst_l = (
-            r.astype(np.int64) + (r >= term_u).astype(np.int64)
-        ).tolist()
-    elif not flow_mode:
-        arr_dst_l = []
-    destination = traffic.destination
-    dead = bytearray(num_terminals)
+    slots_at_start = slots.copy()
+    unit_slots = slots.reshape(-1)  # credits of link unit ``c * vcs + w``
 
-    # ---- credit calendar ------------------------------------------------
-    credit_buckets: list[list[int]] = [[] for _ in range(horizon + 1)]
+    # ---- VC classes and viability gates --------------------------------
+    # A packet's class is the VC range it may take downstream: all VCs
+    # on a folded Clos, the lower / upper half for Valiant's two
+    # phases, the hop-indexed VC on a direct network.  ``gate[k, c]``
+    # is the cycle from which class ``k`` may take channel ``c``: the
+    # channel's busy-until time while one of the class's VCs has a
+    # downstream credit, EMPTY_READY while none has.  Eject channels
+    # are always open at their busy time; injection channels and the
+    # padding column ``n_ch`` never open.
+    if direct:
+        ranges = [(w, w + 1) for w in range(vcs)]
+    elif valiant:
+        ranges = [(0, vcs // 2), (vcs // 2, vcs)]
+    else:
+        ranges = [(0, vcs)]
+    uniform = len(ranges) == 1
+    vc_ids = np.arange(vcs)
+    class_vcs = np.array([(vc_ids >= lo) & (vc_ids < hi) for lo, hi in ranges])
+    stride = n_ch + 1
+    gate = np.full((len(ranges), stride), EMPTY_READY, dtype=np.int64)
+    gate_flat = gate.reshape(-1)
+    gate[:, :n_ch][:, is_eject] = busy[is_eject]
 
-    multi_iter = iterations > 1
-    granted_ch = bytearray(n_ch) if multi_iter else None
+    def regate(cids: np.ndarray, when) -> None:
+        """Reopen or close the class gates of link channels ``cids``."""
+        free = slots[cids] > 0
+        if uniform:
+            gate[0, cids] = np.where(free.any(axis=1), when, EMPTY_READY)
+        else:
+            gate[:, cids] = np.where((free @ class_vcs.T).T, when, EMPTY_READY)
+
+    regate(np.arange(n_link), busy[:n_link])
+
+    # ---- packets as rows -----------------------------------------------
+    # Row ``i`` is the ``i``-th generated packet.  Routability is static
+    # during a run, so unroutable packets are known here; they never
+    # enter a queue.  ``p_col`` is the destination's key column and
+    # ``p_home`` the switch that delivers it.
+    a_time, a_term, a_dst, a_serial, next_serial = _arrivals(sim, hseed)
+    n_pk = len(a_time)
+    if direct:
+        p_col = term_switch[a_dst]
+        p_home = p_col
+        src_switch = term_switch[a_term]
+    else:
+        hosts = topo.hosts_per_leaf
+        leaf_switch = np.array(
+            [topo.switch_id(0, i) for i in range(topo.num_leaves)],
+            dtype=np.int64,
+        )
+        p_col = a_dst // hosts
+        p_home = leaf_switch[p_col]
+        src_switch = leaf_switch[a_term // hosts]
+    p_ok = routable[src_switch * n_dests + p_col]
+    p_dkey = deliver_base + a_dst  # the destination's eject row
+    a_via = (
+        _valiant_vias(
+            hseed, a_serial, src_switch, p_col, routable, leaf_switch,
+            n_dests, hosts, num_terminals,
+        )
+        if valiant
+        else np.full(n_pk, -1, dtype=np.int64)
+    )
+    p_via = a_via.copy()  # -1 once the randomization phase is over
+    p_serial = a_serial.astype(np.uint64)
+    p_hops = np.zeros(n_pk, dtype=np.int64)
+    p_ready = a_time.copy()  # when the packet heads its current queue
+    p_inj = np.full(n_pk, -1, dtype=np.int64)  # injection cycle
+
+    # ---- input queues --------------------------------------------------
+    # Every unit's FIFO is a window into one row store.  Link unit ``u``
+    # owns the ring ``store[u * buffers : (u + 1) * buffers]`` (credits
+    # bound it to ``buffers`` packets); terminal ``t``'s injection unit
+    # holds all its routable packets of the run, in arrival order, in
+    # the terminal-sorted rows after the rings (no wrap), and a packet
+    # that has not arrived yet simply is not ready.  ``q_head`` is the
+    # offset of a unit's head in its window (an injection unit's count
+    # of sent packets), ``q_len`` its packets left, and ``q_pos`` a
+    # routable packet's place in its terminal's queue.
+    q_rows = np.flatnonzero(p_ok)
+    by_term = q_rows[np.argsort(a_term[q_rows], kind="stable")]
+    q_count = np.bincount(a_term[q_rows], minlength=num_terminals)
+    q_start = np.cumsum(q_count) - q_count
+    q_pos = np.zeros(n_pk, dtype=np.int64)
+    q_pos[by_term] = np.arange(len(by_term)) - q_start[a_term[by_term]]
+    store = np.concatenate(
+        (np.zeros(n_lu * buffers, dtype=np.int32), by_term.astype(np.int32))
+    )
+    q_base = np.concatenate(
+        (np.arange(n_lu, dtype=np.int64) * buffers, n_lu * buffers + q_start)
+    )
+    q_head = np.zeros(n_units, dtype=np.int64)
+    q_len = np.zeros(n_units, dtype=np.int64)
+    q_len[n_lu:] = q_count
+
+    # ---- unit heads -----------------------------------------------------
+    # ``ready`` is the cycle from which a unit's head may request
+    # (EMPTY_READY: no head), ``vkey`` the head's candidate row and
+    # ``cls`` its VC class.
+    ready = np.full(n_units, EMPTY_READY, dtype=np.int64)
+    head = np.full(n_units, -1, dtype=np.int64)
+    vkey = np.full(n_units, blocked_row, dtype=np.int64)
+    cls = None if uniform else np.zeros(n_units, dtype=np.int64)
 
     counters, on_inject, on_drop, on_arbitrate, on_hop, on_eject = begin_run(
         sim
     )
-    # Run counters: grants per channel and per (cycle, class) and the
-    # switches that saw a request take one numpy pass per round; the
-    # histogram bins are bumped in the scalar grant loop.
+    views: list[Packet | None] = [None] * n_pk
+
+    def views_of(rows: np.ndarray) -> list[Packet]:
+        """The packets of ``rows``: one :class:`Packet` per packet and
+        run, made on its first event (or at run end, while it is still
+        queued) and brought up to date at each."""
+        packets = []
+        # Chunks bound the transient per-field lists of a large flush.
+        for lo in range(0, rows.size, 8192):
+            chunk = rows[lo : lo + 8192]
+            for row, src, dst, created, serial, hops, via, injected in zip(
+                chunk.tolist(),
+                a_term[chunk].tolist(),
+                a_dst[chunk].tolist(),
+                a_time[chunk].tolist(),
+                a_serial[chunk].tolist(),
+                p_hops[chunk].tolist(),
+                p_via[chunk].tolist(),
+                p_inj[chunk].tolist(),
+            ):
+                packet = views[row]
+                if packet is None:
+                    packet = views[row] = Packet(
+                        src, dst, created, serial=serial
+                    )
+                packet.hops = hops
+                packet.via = via if via >= 0 else None
+                packet.injected = injected if injected >= 0 else None
+                packets.append(packet)
+        return packets
+
+    def expose(units: np.ndarray, rows: np.ndarray, when) -> None:
+        """Make ``rows`` the heads of ``units``, ready from ``when``."""
+        sw = unit_sw[units]
+        col = p_col[rows]
+        deliver = sw == p_home[rows]
+        if valiant:
+            via = p_via[rows]
+            phase = via >= 0
+            if phase.any():
+                v_col = via // hosts
+                done = phase & (sw == leaf_switch[v_col])
+                p_via[rows[done]] = -1  # randomization phase complete
+                phase &= ~done
+                col = np.where(phase, v_col, col)
+                deliver &= ~phase
+            cls[units] = ~phase
+        elif cls is not None:
+            cls[units] = np.minimum(p_hops[rows], vcs - 1)
+        key = sw * n_dests + col
+        route = routable[key]
+        vkey[units] = np.where(
+            deliver, p_dkey[rows], np.where(route, key, blocked_row)
+        )
+        stuck = ~(deliver | route)
+        if not direct and stuck.any():
+            # Cannot happen for generated traffic (injection filters by
+            # the routability table); replay the reference router so
+            # the same RoutingError surfaces.
+            for s, packet in zip(sw[stuck].tolist(), views_of(rows[stuck])):
+                sim._output_candidates(s, packet)
+        head[units] = rows
+        ready[units] = when
+
+    # ---- hooks and run counters ----------------------------------------
+    arrival_events = tracing or on_inject is not None or on_drop is not None
+    grant_events = tracing or on_hop is not None or on_eject is not None
+    if arrival_events:
+        # Only the arrivals some hook or trace sees are visited.
+        a_event = a_serial < trace_limit
+        if on_inject is not None:
+            a_event |= p_ok
+        if on_drop is not None:
+            a_event |= ~p_ok
+        ev_rows = a_event.nonzero()[0]
+        ev_bounds = np.searchsorted(
+            a_time[ev_rows], np.arange(horizon + 2)
+        ).tolist()
+    if grant_events:
+        ch_peer = sim.ch_peer
+        ch_dst_l = sim.ch_dst
     counting = counters is not None
+    #: The per-hop readings (credits left, queue depth) have a reader.
+    hop_readings = counting or on_hop is not None
+    if hop_readings:
+        #: Winner position of each unit within the current round
+        #: (``n_units`` when it did not win), for in-order depths.
+        rank = np.full(n_units, n_units, dtype=np.int32)
     arb_passes = arb_requests = arb_grants = 0
-    if counters is not None:
+    if counting:
         c_grants = np.zeros(n_ch, dtype=np.int64)
         c_class = np.asarray(counters.ch_class, dtype=np.int64)
         n_cls = counters.n_classes
         c_cycle = np.zeros((horizon + 1, n_cls), dtype=np.int64)
         arb_seen = np.zeros(n_sw, dtype=bool)
-        c_injects = counters.injects
-        c_inject_depth = counters.inject_depth
-        c_vc_depth = counters.vc_depth
-        c_credits = counters.credits
-        c_latency = counters.latency
-        c_hops = counters.hops
+        vc_depths: list[np.ndarray] = []
+        credits_left: list[np.ndarray] = []
     if on_arbitrate is not None:
         req_acc = np.zeros(n_sw, dtype=np.int64)
         gr_acc = np.zeros(n_sw, dtype=np.int64)
 
-    next_serial = sim._next_serial
-    gp = 0
-    tracing = trace_limit > 0
-    #: Per-class gate-row offsets for the batched busy propagation.
-    #: The uniform-class configuration only ever *reads* row 0, so the
-    #: other rows need no maintenance at all.
-    n_rows = 1 if uniform_cls else n_classes
-    goff = (np.arange(n_rows, dtype=np.int64) * stride)[:, None]
-    #: Reusable row-index buffer for the request-phase fancy pick.
-    ar_buf = np.arange(n_units, dtype=np.int64)
+    #: Delivered rows per round and their delivery cycles, reduced into
+    #: ``stats`` at run end.
+    delivered_rows: list[np.ndarray] = []
+    delivered_at: list[int] = []
+    #: Link units granted at cycle ``t``, whose credits return at the
+    #: top of cycle ``t + phits``.
+    credit_due: list[np.ndarray | None] = [None] * (horizon + 1)
+    if multi_iter:
+        #: Input channels granted this cycle, and each unit's channel.
+        granted = np.zeros(n_ch, dtype=bool)
+        unit_cid = np.concatenate(
+            (np.repeat(np.arange(n_link, dtype=np.int64), vcs), inject_cid)
+        )
     #: Reusable segment-boundary buffer for the grant phase.
     last_buf = np.empty(n_units, dtype=bool)
     #: Fused (output, priority) grant key: output ids take the top
@@ -600,145 +718,44 @@ def run_relaxed(sim) -> SimResult:
     out_shift = _U64(64 - n_ch.bit_length())
     pr_shift = _U64(n_ch.bit_length())
 
-    # ---- cycle loop -----------------------------------------------------
-    t = 0
-    while t <= horizon:
-        # -- credits (top of cycle: the dominant reference ordering) ----
-        bucket = credit_buckets[t]
-        if bucket:
-            for cu in bucket:
-                a = unit_cid[cu]
-                b = unit_vc[cu]
-                slots = ch_slots[a]
-                was = slots[b]
-                slots[b] = was + 1
-                if was == 0:
-                    if use_mask:
-                        free_mask[a] |= 1 << b
-                    if uniform_cls:
-                        if gate_a[a] == EMPTY_READY:
-                            gate_a[a] = int(busy_np[a])
-                    elif direct:
-                        gi = b * stride + a
-                        if gate_a[gi] == EMPTY_READY:
-                            gate_a[gi] = int(busy_np[a])
-                    else:
-                        busy = int(busy_np[a])
-                        if gate_a[a] == EMPTY_READY:
-                            gate_a[a] = busy
-                        gi = (stride if b < half else 2 * stride) + a
-                        if gate_a[gi] == EMPTY_READY:
-                            gate_a[gi] = busy
-            bucket.clear()
+    # Each injection queue's first packet heads it from the start.
+    firsts = (q_count > 0).nonzero()[0]
+    first_rows = by_term[q_start[firsts]]
+    expose(
+        n_lu + firsts,
+        first_rows,
+        np.maximum(a_time[first_rows], blocked[firsts]),
+    )
 
-        # -- arrivals ---------------------------------------------------
-        while gp < n_arr and arr_time_l[gp] == t:
-            terminal = arr_term_l[gp]
-            if flow_mode:
-                # Scheduled release: destination and serial are pinned
-                # by the schedule (serials identify flows across
-                # engines); valiant detours below stay keyed by serial.
-                dst = arr_dst_l[gp]
-                serial = arr_serial_l[gp]
-                gp += 1
-                if serial >= next_serial:
-                    next_serial = serial + 1
-                packet = Packet(terminal, dst, t, serial=serial)
-            else:
-                if dead[terminal]:
-                    gp += 1
-                    continue
-                if uniform_dst:
-                    dst = arr_dst_l[gp]
-                else:
-                    try:
-                        dst = destination(
-                            terminal,
-                            KeyedStream(
-                                hseed,
-                                terminal,
-                                (arr_k_l[gp] << SITE_BITS) | SITE_TRAFFIC,
-                            ),
-                        )
-                    except LookupError:
-                        # The reference stops generating for this
-                        # terminal on the first failed lookup; mirror
-                        # that.
-                        dead[terminal] = 1
-                        gp += 1
-                        continue
-                gp += 1
-                packet = Packet(terminal, dst, t, serial=next_serial)
-                next_serial += 1
-            generated_local += 1
-            if packet.serial < trace_limit:
-                traces[packet.serial] = [(t, "generate", terminal)]
-            if valiant:
-                src_leaf_switch = leaf_switch[terminal // hosts]
-                for attempt in range(8):
-                    via = (
-                        draw64(
-                            hseed,
-                            packet.serial,
-                            (attempt << SITE_BITS) | SITE_VIA,
-                        )
-                        % num_terminals
-                    )
-                    via_leaf = via // hosts
-                    if (
-                        routable[src_leaf_switch * n_dests + via_leaf]
-                        and routable[
-                            leaf_switch[via_leaf] * n_dests
-                            + dest_leaf[dst]
-                        ]
-                    ):
-                        packet.via = via
-                        break
-                else:
-                    packet.via = None
-            if direct:
-                ok = routable[
-                    dest_switch[terminal] * n_dests + dest_switch[dst]
-                ]
-            else:
-                ok = routable[
-                    leaf_switch[terminal // hosts] * n_dests
-                    + dest_leaf[dst]
-                ]
-            if not ok:
-                unroutable_local += 1
-                if on_drop is not None:
-                    on_drop(t, terminal, packet)
-            else:
-                cid = inject_channel[terminal]
-                queue = ch_queues[cid][0]
-                queue.append((t, packet))
-                qlen = len(queue)
-                if qlen > max_injectq:
-                    max_injectq = qlen
-                if counting:
-                    c_injects[t] += 1
-                    try:
-                        c_inject_depth[qlen] += 1
-                    except IndexError:
-                        RunCounters.grow(c_inject_depth, qlen)
-                if on_inject is not None:
+    # ---- cycle loop -----------------------------------------------------
+    for t in range(horizon + 1):
+        # -- credits (top of cycle: the dominant reference ordering) ----
+        due = credit_due[t]
+        if due is not None:
+            unit_slots[due] += 1
+            cids = due // vcs
+            regate(cids, busy[cids])
+
+        # -- arrival events (the queues hold their packets already) ------
+        if arrival_events and ev_bounds[t + 1] > ev_bounds[t]:
+            ev = ev_rows[ev_bounds[t] : ev_bounds[t + 1]]
+            ev_terms = a_term[ev]
+            for packet, terminal, ok, via, qlen in zip(
+                views_of(ev),
+                ev_terms.tolist(),
+                p_ok[ev].tolist(),
+                a_via[ev].tolist(),
+                (q_pos[ev] - q_head[n_lu + ev_terms] + 1).tolist(),
+            ):
+                # The packet is not routed before it arrives.
+                packet.via = via if via >= 0 else None
+                if packet.serial < trace_limit:
+                    traces[packet.serial] = [(t, "generate", terminal)]
+                if not ok:
+                    if on_drop is not None:
+                        on_drop(t, terminal, packet)
+                elif on_inject is not None:
                     on_inject(t, packet, qlen)
-                if qlen == 1:
-                    if uniform_tab:
-                        # Inlined injection-head exposure.
-                        iu = inject_unit[terminal]
-                        blocked = ch_blocked[cid]
-                        ready_a[iu] = blocked if blocked > t else t
-                        serial_a[iu] = packet.serial
-                        vk = vkey_of[ch_dst[cid]][dst]
-                        if vk >= 0:
-                            vkey_a[iu] = vk
-                        else:
-                            sim._output_candidates(ch_dst[cid], packet)
-                            vkey_a[iu] = blocked_row
-                    else:
-                        expose(inject_unit[terminal], ch_dst[cid], t)
 
         # -- arbitration rounds -----------------------------------------
         busy_until = t + phits
@@ -746,48 +763,34 @@ def run_relaxed(sim) -> SimResult:
         hi_c = busy_until if busy_until < horizon else horizon
         span = hi_c - lo_c
         arrive = t + latency
-        cb = credit_buckets[busy_until] if busy_until <= horizon else None
-        # Every delivery granted this cycle completes at the same time,
-        # so its measurement-window bucket is a per-cycle constant
-        # (-1 = outside the window).
+        granted_links: list[np.ndarray] = []
+        # Every delivery granted this cycle completes (its tail arrives)
+        # at the same cycle.
         delivered = arrive + phits - 1
-        if warmup <= delivered <= horizon:
-            d_bucket = (delivered - warmup) * nb // window
-            if d_bucket >= nb:
-                d_bucket = nb - 1
-        else:
-            d_bucket = -1
         for _round in range(iterations):
-            elig = (ready_np <= t).nonzero()[0]
+            elig = (ready <= t).nonzero()[0]
             if not elig.size:
                 break
             if multi_iter and _round:
-                keep = np.frombuffer(granted_ch, dtype=np.uint8)[
-                    cid_np[elig]
-                ] == 0
-                elig = elig[keep]
+                elig = elig[~granted[unit_cid[elig]]]
                 if not elig.size:
                     break
-            cand = cand_ext[vkey_np[elig]]
-            if uniform_cls:
-                open_ = gate_np[cand] <= t
+            cand = cand_ext.take(vkey[elig], axis=0)
+            gate_open = gate_flat <= t
+            if uniform:
+                open_ = gate_open.take(cand)
             else:
-                open_ = gate_np[cand + cls_np[elig][:, None] * stride] <= t
-            nv = open_.sum(axis=1, dtype=np.uint64)
+                open_ = gate_open.take(cand + cls[elig][:, None] * stride)
+            viable, nv, first = _true_cells(open_)
             has = nv > 0
             if has.all():
-                # Every eligible head has a viable output: skip the
-                # three fancy-indexed copies (the common steady-state
-                # shape at moderate load).
+                # Every eligible head has a viable output (the common
+                # steady-state shape at moderate load).
                 ru = elig
-                nv_r = nv
-                ropen = open_
-                rcand = cand
             elif has.any():
                 ru = elig[has]
-                nv_r = nv[has]
-                ropen = open_[has]
-                rcand = cand[has]
+                nv = nv[has]
+                first = first[has]
             else:
                 break
             # Request phase: each head keys one draw on (serial, cycle,
@@ -795,264 +798,240 @@ def run_relaxed(sim) -> SimResult:
             ck_req = _U64(
                 ((t * iterations + _round) << SITE_BITS) | SITE_REQUEST
             )
-            rh = draw64_array(hseed, serial_np[ru], ck_req)
-            pick = (rh % nv_r).astype(np.int64)
-            col = (ropen.cumsum(axis=1) <= pick[:, None]).sum(axis=1)
-            outs = rcand[ar_buf[: ru.size], col]
+            rh = draw64_array(hseed, p_serial[head[ru]], ck_req)
+            pick = (rh % nv.astype(np.uint64)).astype(np.int64)
+            outs = cand.reshape(-1)[viable[first + pick]]
             # Grant phase: max keyed priority per output wins -- a
-            # uniform pick among that output's contenders.
-            prio = mix64_array(rh ^ _GRANT_SALT)
-            # A single fused (output, priority) sort key replaces
-            # lexsort; the truncated priority keeps >= 44 tie-break
-            # bits, so the chance truncation ever changes which
-            # contender holds the per-output maximum is ~2**-44 per
-            # contended output -- far below the statistical bar.
+            # uniform pick among that output's contenders.  The VC lane
+            # (used by the winners below) is mixed in the same call.
+            prio, vc_lane = mix64_array(
+                np.stack((rh ^ _GRANT_SALT, rh ^ _VC_SALT))
+            )
+            # One argsort of a fused (output, priority) key; the
+            # truncated priority keeps >= 44 tie-break bits, so the
+            # chance truncation ever changes which contender holds the
+            # per-output maximum is ~2**-44 per contended output --
+            # far below the statistical bar.
             fkey = (outs.astype(np.uint64) << out_shift) | (prio >> pr_shift)
-            order = np.argsort(fkey)
+            order = fkey.argsort()
             so = fkey[order] >> out_shift
             n_k = so.size
             last = last_buf[:n_k]
             np.not_equal(so[1:], so[:-1], out=last[: n_k - 1])
             last[n_k - 1] = True
             win = order[last.nonzero()[0]]
-            wouts = outs[win]
+            # Winners, in ascending output order: they hold distinct
+            # outputs and distinct input units, so no fancy-indexed
+            # write below collides.
+            wu = ru[win]
+            wout = outs[win].astype(np.int64)
             if counting:
-                c_grants[wouts] += 1
-                c_cycle[t] += np.bincount(c_class[wouts], minlength=n_cls)
-                arb_seen[sw_np[ru]] = True
+                c_grants[wout] += 1
+                c_cycle[t] += np.bincount(c_class[wout], minlength=n_cls)
+                arb_seen[unit_sw[ru]] = True
                 arb_requests += ru.size
                 arb_grants += win.size
             if on_arbitrate is not None:
-                req_acc += np.bincount(sw_np[ru], minlength=n_sw)
-                gr_acc += np.bincount(sw_np[ru[win]], minlength=n_sw)
+                req_acc += np.bincount(unit_sw[ru], minlength=n_sw)
+                gr_acc += np.bincount(unit_sw[wu], minlength=n_sw)
+            if multi_iter:
+                granted[unit_cid[wu]] = True
 
-            # Winner bookkeeping that needs no per-packet state updates
-            # in one batch: busy times, busy-cycle accounting and the
-            # credited-gate busy propagation (winners hold distinct
-            # outputs, so the fancy-indexed writes never collide).
-            busy_np[wouts] = busy_until
+            rows = head[wu]
+            busy[wout] = busy_until
             if span > 0:
-                busycyc_np[wouts] += span
-            if uniform_cls:
-                gv = gate_np[wouts]
-                gate_np[wouts[gv != EMPTY_READY]] = busy_until
-            else:
-                gidx_all = (wouts[None, :] + goff).ravel()
-                gv = gate_np[gidx_all]
-                gate_np[gidx_all[gv != EMPTY_READY]] = busy_until
-            # Downstream VC picks ride the request draw through a
-            # second salted lane (batched here; the scalar loop only
-            # reduces modulo the free-VC count).
-            wu_l = ru[win].tolist()
-            wout_l = wouts.tolist()
-            vcr_l = mix64_array(rh[win] ^ _VC_SALT).tolist()
+                busy_cycles[wout] += span
+            # Deliveries are recorded here and reduced at run end.
+            ej = is_eject[wout]
+            if ej.any():
+                gate[:, wout[ej]] = busy_until
+                delivered_rows.append(rows[ej])
+                delivered_at.append(delivered)
 
-            # -- apply grants (scalar bookkeeping, mirrors _grant) ------
-            for u, out, vcr in zip(wu_l, wout_l, vcr_l):
-                queue = unit_queue[u]
-                packet = queue[0][1]
-                del queue[0]
-                cid = unit_cid[u]
-                if tracing and -1 < packet.serial < trace_limit:
-                    trace = traces.get(packet.serial)
-                    if trace is not None:
-                        trace.append(
-                            (
-                                t,
-                                "eject" if is_eject[out] else "forward",
-                                ch_peer[out],
+            # Hops: pick a downstream VC with a credit inside the head's
+            # class (the k-th free one, k from a second salted lane of
+            # the request draw), take the credit, and push the packet
+            # onto that VC's ring.
+            hi = (~ej).nonzero()[0]
+            hout = wout[hi]
+            hrows = rows[hi]
+            free = slots[hout] > 0
+            if not uniform:
+                free &= class_vcs[cls[wu[hi]]]
+            vcr = vc_lane[win[hi]]
+            free_vcs, n_free, vc_first = _true_cells(free)
+            nth = (vcr % n_free.astype(np.uint64)).astype(np.int64)
+            du = hout * vcs + free_vcs[vc_first + nth] % vcs
+            unit_slots[du] -= 1
+            regate(hout, busy_until)
+            p_hops[hrows] += 1
+            p_ready[hrows] = arrive
+            pre = q_len[du]
+            store[du * buffers + (q_head[du] + pre) % buffers] = hrows
+            if hop_readings:
+                # Credits left, and the queue depth after the push as
+                # in output order: a pop of the same unit by an earlier
+                # winner comes first.
+                left = unit_slots[du]
+                rank[wu] = np.arange(wu.size)
+                depth = pre + 1 - (rank[du] < hi)
+                rank[wu] = n_units
+                if counting:
+                    credits_left.append(left)
+                    vc_depths.append(depth)
+
+            # Pops: link units return a credit upstream at the tail.
+            q_head[wu] += 1
+            q_len[wu] -= 1
+            q_len[du] += 1
+            from_inject = wu >= n_lu
+            lu = wu[~from_inject]
+            q_head[lu] %= buffers
+            granted_links.append(lu)
+
+            if grant_events:
+                # Per-event hooks and traces, in output order.
+                want = np.zeros(wu.size, dtype=bool)
+                if on_eject is not None:
+                    want |= ej
+                if on_hop is not None:
+                    want[hi] = True
+                if tracing:
+                    want |= a_serial[rows] < trace_limit
+                sel = want.nonzero()[0]
+            if grant_events and sel.size:
+                hop_at = np.full(wu.size, -1, dtype=np.int64)
+                hop_at[hi] = np.arange(hi.size)
+                if on_hop is not None:
+                    w_l = (du % vcs).tolist()
+                    left_l = left.tolist()
+                    depth_l = depth.tolist()
+                srows = rows[sel]
+                for row, packet, out, sw, h in zip(
+                    srows.tolist(),
+                    views_of(srows),
+                    wout[sel].tolist(),
+                    unit_sw[wu[sel]].tolist(),
+                    hop_at[sel].tolist(),
+                ):
+                    if packet.serial < trace_limit:
+                        trace = traces.get(packet.serial)
+                        if trace is not None:
+                            trace.append(
+                                (t, "forward" if h >= 0 else "eject",
+                                 ch_peer[out])
                             )
-                        )
-                if is_eject[out]:
-                    delivered_total += 1
-                    if d_bucket >= 0:
-                        batch_local[d_bucket] += phits
-                        lat = delivered - packet.created
-                        m_packets += 1
-                        m_latsum += lat
-                        m_hopsum += packet.hops
-                        lat_append(lat)
-                        if lat > m_maxlat:
-                            m_maxlat = lat
-                    if counting:
-                        c_latency[delivered - packet.created] += 1
-                        c_hops[packet.hops] += 1
-                    if on_eject is not None:
-                        on_eject(
-                            t, packet, delivered - packet.created, phits
-                        )
-                else:
-                    slots = ch_slots[out]
-                    if use_mask:
-                        if uniform_cls:
-                            bits = bit_table[free_mask[out]]
-                            n = len(bits)
-                            w = bits[0] if n == 1 else bits[vcr % n]
-                        else:
-                            lo_w, hi_w = class_range[cls_a[u]]
-                            bits = bit_table[
-                                (free_mask[out] >> lo_w)
-                                & ((1 << (hi_w - lo_w)) - 1)
-                            ]
-                            n = len(bits)
-                            w = lo_w + (
-                                bits[0] if n == 1 else bits[vcr % n]
+                    if h < 0:
+                        if on_eject is not None:
+                            on_eject(
+                                t, packet, delivered - packet.created, phits
                             )
-                    else:
-                        lo_w, hi_w = class_range[cls_a[u]]
-                        free_vcs = [
-                            wi for wi in range(lo_w, hi_w) if slots[wi] > 0
-                        ]
-                        n = len(free_vcs)
-                        w = free_vcs[0] if n == 1 else free_vcs[vcr % n]
-                    slots[w] -= 1
-                    if slots[w] == 0:
-                        if use_mask:
-                            m = free_mask[out] & ~(1 << w)
-                            free_mask[out] = m
-                            if uniform_cls:
-                                if not m:
-                                    gate_a[out] = EMPTY_READY
-                            elif direct:
-                                gate_a[w * stride + out] = EMPTY_READY
-                            else:
-                                if not m:
-                                    gate_a[out] = EMPTY_READY
-                                if w < half:
-                                    if not m & ((1 << half) - 1):
-                                        gate_a[stride + out] = EMPTY_READY
-                                elif not m >> half:
-                                    gate_a[2 * stride + out] = EMPTY_READY
-                        elif direct:
-                            gate_a[w * stride + out] = EMPTY_READY
-                        else:
-                            if not any(slots):
-                                gate_a[out] = EMPTY_READY
-                            if w < half:
-                                if not any(slots[:half]):
-                                    gate_a[stride + out] = EMPTY_READY
-                            elif not any(slots[half:]):
-                                gate_a[2 * stride + out] = EMPTY_READY
-                    packet.hops += 1
-                    down_queue = ch_queues[out][w]
-                    down_queue.append((arrive, packet))
-                    if counting:
-                        c_credits[slots[w]] += 1
-                        c_vc_depth[len(down_queue)] += 1
-                    if on_hop is not None:
+                        views[row] = None  # no later event
+                    elif on_hop is not None:
                         on_hop(
-                            t,
-                            packet,
-                            unit_switch[u],
-                            ch_dst[out],
-                            w,
-                            slots[w],
-                            len(down_queue),
+                            t, packet, sw, ch_dst_l[out],
+                            w_l[h], left_l[h], depth_l[h],
                         )
-                    if len(down_queue) == 1:
-                        if uniform_tab:
-                            # Inlined hot-path exposure: a freshly
-                            # forwarded head is never an inject unit
-                            # and becomes ready exactly at ``arrive``.
-                            du = unit_of[out][w]
-                            ready_a[du] = arrive
-                            serial_a[du] = packet.serial
-                            vk = vkey_of[ch_dst[out]][packet.dst]
-                            if vk >= 0:
-                                vkey_a[du] = vk
-                            else:
-                                sim._output_candidates(
-                                    ch_dst[out], packet
-                                )
-                                vkey_a[du] = blocked_row
-                        else:
-                            expose(unit_of[out][w], ch_dst[out], t)
-                if is_link[cid]:
-                    if cb is not None:
-                        cb.append(u)
-                else:
-                    ch_blocked[cid] = busy_until
-                    if packet.injected is None:
-                        packet.injected = t
-                    injected_local += 1
-                if queue:
-                    if uniform_tab:
-                        # Inlined successor exposure (same body as the
-                        # general closure, minus the call overhead).
-                        ready, pkt2 = queue[0]
-                        if unit_inject[u]:
-                            blocked = ch_blocked[cid]
-                            if blocked > ready:
-                                ready = blocked
-                        ready_a[u] = ready
-                        serial_a[u] = pkt2.serial
-                        vk = vkey_of[unit_switch[u]][pkt2.dst]
-                        if vk >= 0:
-                            vkey_a[u] = vk
-                        else:
-                            sim._output_candidates(unit_switch[u], pkt2)
-                            vkey_a[u] = blocked_row
-                    else:
-                        expose(u, unit_switch[u], t)
-                else:
-                    ready_a[u] = EMPTY_READY
-                if multi_iter:
-                    granted_ch[cid] = 1
+            p_inj[rows[from_inject]] = t
+
+            # Head exposure: the next packet of every popped unit, and
+            # the pushed packet of every VC that was empty.
+            ready[wu] = EMPTY_READY
+            nxt = wu[q_len[wu] > 0]
+            fresh = pre == 0
+            new_units = np.concatenate((nxt, du[fresh]))
+            new_rows = np.concatenate(
+                (store[q_base[nxt] + q_head[nxt]], hrows[fresh])
+            )
+            # A packet on an injection queue also waits for its link,
+            # busy until ``busy_until``.
+            expose(
+                new_units,
+                new_rows,
+                np.maximum(
+                    p_ready[new_rows], (new_units >= n_lu) * busy_until
+                ),
+            )
+        if granted_links and busy_until <= horizon:
+            credit_due[busy_until] = np.concatenate(granted_links)
         if multi_iter:
-            # Reset the per-cycle granted-channel filter.
-            granted_ch = bytearray(n_ch)
+            granted[:] = False
         if counting:
             arb_passes += int(np.count_nonzero(arb_seen))
             arb_seen[:] = False
         if on_arbitrate is not None:
-            for s in np.flatnonzero(req_acc):
-                on_arbitrate(t, int(s), int(req_acc[s]), int(gr_acc[s]))
+            for s in np.flatnonzero(req_acc).tolist():
+                on_arbitrate(t, s, int(req_acc[s]), int(gr_acc[s]))
             req_acc[:] = 0
             gr_acc[:] = 0
-        t += 1
 
-    # Flush the local delivery-stat accumulators (mirrors the effect of
-    # per-delivery ``SimStats.on_delivered`` calls, including the lazy
-    # ``batch_phits`` init on the first in-window delivery).
-    stats.delivered_packets += delivered_total
-    stats.generated_packets += generated_local
-    stats.injected_packets += injected_local
-    sim.unroutable_packets += unroutable_local
-    if counters is not None:
+    # ---- flush ----------------------------------------------------------
+    unroutable = n_pk - q_rows.size
+    depth = _arrival_depths(
+        by_term, a_term, a_time, p_inj, q_pos, q_start, horizon
+    )
+    d_lat, d_hops = _record_deliveries(
+        stats, delivered_rows, delivered_at, a_time, p_hops, phits
+    )
+    stats.generated_packets += n_pk
+    stats.injected_packets += int(np.count_nonzero(p_inj >= 0))
+    sim.unroutable_packets += unroutable
+    if counting:
         counters.grants = c_grants
         counters.cycle_grants = c_cycle
-        counters.drops += unroutable_local
+        counters.drops += unroutable
         counters.arb_passes += arb_passes
         counters.arb_requests += int(arb_requests)
         counters.arb_grants += int(arb_grants)
-    if max_injectq > sim.max_inject_queue:
-        sim.max_inject_queue = max_injectq
-    if m_packets:
-        if not stats.batch_phits:
-            stats.batch_phits = [0] * nb
-        for bi in range(nb):
-            stats.batch_phits[bi] += batch_local[bi]
-        stats.measured_packets += m_packets
-        stats.measured_phits += m_packets * phits
-        stats.measured_latency_sum += m_latsum
-        stats.measured_hops_sum += m_hopsum
-        if m_maxlat > stats.max_latency:
-            stats.max_latency = m_maxlat
+        counters.injects[:] = (
+            np.asarray(counters.injects, dtype=np.int64)
+            + np.bincount(a_time[q_rows], minlength=horizon + 1)
+        ).tolist()
+        _add_counts(counters.inject_depth, [depth])
+        _add_counts(counters.vc_depth, vc_depths)
+        _add_counts(counters.credits, credits_left)
+        _add_counts(counters.latency, [d_lat])
+        _add_counts(counters.hops, [d_hops])
+    if depth.size:
+        sim.max_inject_queue = max(sim.max_inject_queue, int(depth.max()))
 
-    # Flush the numpy channel mirrors back into the simulator's lists
-    # (post-run inspection reads them; identity is preserved).
-    sim.ch_busy[:] = busy_np.tolist()
-    sim.ch_busy_cycles[:] = busycyc_np.tolist()
-    # Reference-loop state mirrors (kept for debugging parity).
-    sim._heap = []
-    sim._seq = 0
-    sim._arb_marks = set()
+    # Channel state back into the simulator's lists (identity kept),
+    # and every queued packet into ``ch_queues`` as ``(ready, Packet)``.
+    sim.ch_busy[:] = busy.tolist()
+    sim.ch_busy_cycles[:] = busy_cycles.tolist()
+    # An injection link is busy until its last packet's tail.
+    sent = q_head[n_lu:]
+    last = (sent > 0).nonzero()[0]
+    blocked[last] = p_inj[by_term[q_start[last] + sent[last] - 1]] + phits
+    ch_blocked = sim.ch_blocked
+    for cid, until in zip(inject_cid.tolist(), blocked.tolist()):
+        ch_blocked[cid] = until
+    ch_slots = sim.ch_slots
+    moved = (slots != slots_at_start).any(axis=1).nonzero()[0]
+    for cid, row in zip(moved.tolist(), slots[moved].tolist()):
+        ch_slots[cid][:] = row
+    units = q_len.nonzero()[0]
+    lens = q_len[units]
+    link = units < n_lu
+    slot = _spans(q_head[units], lens)
+    slot[np.repeat(link, lens)] %= buffers
+    queued = store[np.repeat(q_base[units], lens) + slot]
+    entries = list(zip(p_ready[queued].tolist(), views_of(queued)))
+    cids = units // vcs
+    cids[~link] = inject_cid[units[~link] - n_lu]
+    ch_queues = sim.ch_queues
+    start = 0
+    for cid, vc, n in zip(
+        cids.tolist(), np.where(link, units % vcs, 0).tolist(), lens.tolist()
+    ):
+        ch_queues[cid][vc][:] = entries[start : start + n]
+        start += n
     sim._next_serial = next_serial
     result = SimResult.from_stats(
         stats,
         offered_load=sim.load,
         num_terminals=num_terminals,
-        traffic=traffic.name,
+        traffic=sim.traffic.name,
         topology=topo.name,
         unroutable_packets=sim.unroutable_packets,
     )

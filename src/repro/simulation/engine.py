@@ -51,6 +51,8 @@ from .traffic import TrafficPattern
 
 __all__ = ["Simulator", "simulate", "load_sweep", "saturation_throughput"]
 
+#: Channel kinds and event-wheel tags; the fast and relaxed engines
+#: import them from here.
 _LINK, _INJECT, _EJECT = 0, 1, 2
 _EV_ARB, _EV_CREDIT, _EV_GEN = 0, 1, 2
 

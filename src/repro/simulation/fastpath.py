@@ -59,16 +59,11 @@ import numpy as np
 from ..obs.counters import RunCounters
 from ..obs.hooks import begin_run
 from ..routing.table import CandidateRows, CsrTable
+from .engine import _EJECT, _EV_ARB, _EV_CREDIT, _EV_GEN, _INJECT, _LINK
 from .packet import Packet
 from .stats import SimResult, SimStats
 
 __all__ = ["EventWheel", "build_candidate_table", "run_fast"]
-
-# Mirrors of the engine's channel/event tags (engine.py is imported
-# lazily by Simulator.run, so importing them here would be circular in
-# spirit even though not in fact; keep the literals in sync).
-_LINK, _INJECT, _EJECT = 0, 1, 2
-_EV_ARB, _EV_CREDIT, _EV_GEN = 0, 1, 2
 
 
 class EventWheel:

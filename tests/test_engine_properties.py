@@ -18,8 +18,12 @@ contracts:
   holds ``len(queue) + slots <= buffer_packets`` (credits in flight
   make up the difference).  This is the bound that lets a plain list
   serve as a VC buffer.
-* **Up/down turns** -- at the benchmark sizes, every hop moves exactly
-  one level and no packet ascends after it has descended.
+* **Up/down turns** -- on folded Clos runs, every hop moves exactly
+  one level and no packet ascends after it has descended.  The check
+  keys each packet's last step by the packet object, so it also counts
+  the hops whose previous step was on record: at least one per
+  delivered multi-hop packet, which fails loudly if an engine ever
+  handed hooks a fresh object per hop.
 * **Arbitration stability under input-unit permutation** -- permuting
   the per-switch input-unit order changes which packets the shared
   RNG stream favors, so it changes results; but it must change them
@@ -140,13 +144,17 @@ class ConservationObserver(SimObserver):
     With ``level_offsets`` set (a folded Clos simulator's first switch
     id per level), every hop must also move exactly one level, and no
     packet may ascend after it has descended: the up/down routes are
-    acyclic.
+    acyclic.  ``known_steps`` counts the hops whose previous step was
+    on record and ``multi_hop_ejects`` the delivered packets that took
+    more than one hop (:func:`assert_steps_tracked`).
     """
 
     def __init__(self, buffer_packets):
         self.buffer_packets = buffer_packets
         self.level_offsets = None
         self.last_step = {}
+        self.known_steps = 0
+        self.multi_hop_ejects = 0
         self.hops = 0
         self.injected = 0
         self.ejected = 0
@@ -165,6 +173,8 @@ class ConservationObserver(SimObserver):
 
     def on_eject(self, time, packet, latency, phits):
         self.ejected += 1
+        if packet.hops > 1:
+            self.multi_hop_ejects += 1
         self.last_step.pop(packet, None)
         self._tick(time)
 
@@ -179,7 +189,10 @@ class ConservationObserver(SimObserver):
             step = (bisect_right(self.level_offsets, downstream)
                     - bisect_right(self.level_offsets, switch))
             assert step in (1, -1), "hop does not move exactly one level"
-            assert not (step == 1 and self.last_step.get(packet) == -1), (
+            previous = self.last_step.get(packet)
+            if previous is not None:
+                self.known_steps += 1
+            assert not (step == 1 and previous == -1), (
                 "packet ascended after descending"
             )
             self.last_step[packet] = step
@@ -210,6 +223,15 @@ def assert_credit_bounds(sim):
             assert 0 <= free and len(queue) + free <= bound
 
 
+def assert_steps_tracked(obs):
+    """The up/down check compared real step sequences: every delivered
+    packet that took more than one hop had a previous step on record
+    at least once, so a fresh packet object per hop (which would make
+    the "ascended after descending" assertion vacuous) fails here."""
+    assert obs.known_steps > 0
+    assert obs.known_steps >= obs.multi_hop_ejects
+
+
 def assert_conserved(sim, obs, result):
     assert_credit_bounds(sim)
     # Callback tallies agree with the aggregate counters...
@@ -228,7 +250,9 @@ def assert_conserved(sim, obs, result):
 def test_packet_conservation_every_cycle(engine, config):
     obs = ConservationObserver(config["buffers"])
     _, sim = build(config, engine, observer=obs)
+    obs.level_offsets = sim.level_offsets
     assert_conserved(sim, obs, sim.run())
+    assert_steps_tracked(obs)
 
 
 def test_packet_conservation_at_uniform_bench_size():
@@ -246,6 +270,8 @@ def test_packet_conservation_at_uniform_bench_size():
     assert result.delivered_packets > 10_000
     assert obs.hops > result.delivered_packets
     assert_conserved(sim, obs, result)
+    assert obs.multi_hop_ejects > 0
+    assert_steps_tracked(obs)
 
 
 def test_packet_conservation_at_rpc_bench_size():
@@ -268,6 +294,8 @@ def test_packet_conservation_at_rpc_bench_size():
     assert result.delivered_packets > 10_000
     assert obs.hops > result.delivered_packets
     assert_conserved(sim, obs, result)
+    assert obs.multi_hop_ejects > 0
+    assert_steps_tracked(obs)
 
 
 @pytest.mark.parametrize("arbiter", ["random", "rotating"])

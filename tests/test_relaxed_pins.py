@@ -6,11 +6,13 @@ pins hold it to its own history: every case below must reproduce the
 recorded :meth:`SimResult.core_dict` exactly, so a change to how the
 engine lays out its tables or state cannot move a single draw unnoticed.
 
-Each case covers one branch of the engine: the inlined uniform-class
+Each case covers one branch of the engine: the uniform-class
 exposure, Valiant's via phase, a direct network's per-hop classes,
 pruned routing tables that drop packets as unroutable, keyed traffic
 destinations, multi-round arbitration, and a flow workload with the
-tracker and metrics observers attached.
+tracker and metrics observers attached.  ``rpc_8k`` is the benchmark's
+``rpc_8k_relaxed`` run at full size (8192 terminals), with its metrics
+export pinned by digest as well.
 
 Regenerate only on an intentional change to the relaxed engine's
 semantics, and say so in the change log::
@@ -21,6 +23,8 @@ semantics, and say so in the change log::
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -30,6 +34,7 @@ from repro.obs.hooks import MetricsObserver, MultiObserver
 from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator
 from repro.simulation.traffic import make_traffic
+from repro.topologies.packed import packed_radix_regular_rfc
 from repro.topologies.rrn import random_regular_network
 from repro.workloads.flows import make_workload
 from repro.workloads.runner import nominal_load
@@ -114,6 +119,32 @@ def rpc_flows_tracked():
     return sim, tracker
 
 
+def rpc_8k():
+    """The ``rpc_8k_relaxed`` benchmark run: packed RFC(32,512,3), 8192
+    terminals, RPC flows at load 0.5 over 50 + 100 cycles, seed 1, with
+    the metrics observer and the tracker composed as ``run_workload``
+    composes them.  The only case whose per-key tables exceed the small
+    RFC's sizes; its metrics export is pinned by digest."""
+    params = SimulationParams(
+        measure_cycles=100, warmup_cycles=50, seed=1, rng_mode="relaxed"
+    )
+    topo = packed_radix_regular_rfc(32, 512, 3, rng=1)
+    workload = make_workload(
+        "rpc",
+        topo.num_terminals,
+        seed=1,
+        load=0.5,
+        rpc_size=4,
+        duration=params.horizon,
+    )
+    tracker = FlowTracker(workload.flow_schedule)
+    metrics = MetricsObserver()
+    observer = MultiObserver([metrics, tracker])
+    offered = nominal_load(workload, params)
+    sim = Simulator(topo, workload, offered, params, observer=observer)
+    return sim, tracker, metrics
+
+
 CASES = {
     "uniform_rfc": uniform_rfc,
     "valiant_rfc": valiant_rfc,
@@ -122,15 +153,21 @@ CASES = {
     "faulted_valiant_rfc": faulted_valiant_rfc,
     "fixed_random_two_rounds": fixed_random_two_rounds,
     "rpc_flows_tracked": rpc_flows_tracked,
+    "rpc_8k": rpc_8k,
 }
 
 
 def run_case(build) -> dict:
-    """``core_dict()`` of one run, plus the flow summary when tracked."""
-    sim, tracker = build()
+    """``core_dict()`` of one run, plus the flow summary when tracked
+    and the sha256 of the metrics export when a builder returns its
+    :class:`MetricsObserver` third."""
+    sim, tracker, *metrics = build()
     pin = sim.run().core_dict()
     if tracker is not None:
         pin["flow_stats"] = tracker.summary(sim.params.packet_phits)
+    if metrics:
+        export = json.dumps(metrics[0].export(), sort_keys=True)
+        pin["metrics_sha256"] = hashlib.sha256(export.encode()).hexdigest()
     return pin
 
 
@@ -195,6 +232,40 @@ PINS: dict[str, dict] = {
         "p99_latency": 267.0,
         "topology": "RFC(R=8, N1=16, l=3)",
         "traffic": "fixed-random",
+        "unroutable_packets": 0
+    },
+    # Recorded before the engine's packets and VC buffers moved to
+    # arrays.
+    "rpc_8k": {
+        "accepted_load": 0.30095703125,
+        "avg_hops": 3.262249334804335,
+        "avg_latency": 56.25900447790252,
+        "delivered_packets": 20562,
+        "flow_stats": {
+            "fct_max": 164.0,
+            "fct_mean": 86.97100535770564,
+            "fct_p50": 82.0,
+            "fct_p99": 146.0,
+            "fct_p999": 154.0,
+            "flows_completed": 3173,
+            "flows_dropped": 0,
+            "flows_total": 9575,
+            "packets": 12692,
+            "slowdown_mean": 1.3589219587141506,
+            "slowdown_p50": 1.28125,
+            "slowdown_p99": 2.28125
+        },
+        "generated_packets": 38300,
+        "max_latency": 148,
+        "measured_packets": 15409,
+        "metrics_sha256": (
+            "b4e22cc61eb90471dfb894ca44852a2252d3c1247def42c33ff021b0deb01aec"
+        ),
+        "offered_load": 0.5,
+        "p50_latency": 52.0,
+        "p99_latency": 125.0,
+        "topology": "packed-RFC(R=32, N1=512, l=3)",
+        "traffic": "flows:rpc",
         "unroutable_packets": 0
     },
     "rpc_flows_tracked": {
