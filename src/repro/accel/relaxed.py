@@ -39,9 +39,11 @@ round makes no per-packet Python call; deliveries and the queue-depth
 histograms are reduced once, at run end.  Per-event hooks and traces
 still see every event, in the order the scalar engine raised them,
 through one :class:`~repro.simulation.packet.Packet` per packet, made
-only for packets a hook or trace sees; at run end the packets still
-queued are written back into ``sim.ch_queues`` as ``(ready, Packet)``
-entries.
+only for packets a hook or trace sees.  The engine never builds the
+simulator's per-VC lists: at run end it leaves a deferred fill, and the
+first later read of ``sim.ch_queues`` or ``sim.ch_slots`` builds them
+with the packets still queued as ``(ready, Packet)`` entries and the
+credits left.
 
 What "relaxed" changes observably
 ---------------------------------
@@ -220,10 +222,7 @@ def _arrivals(sim, hseed: int) -> tuple:
     next_serial = sim._next_serial
     flow_schedule = getattr(traffic, "flow_schedule", None)
     if flow_schedule is not None:
-        time, terminal, dst, serial = (
-            np.array(column, dtype=np.int64)
-            for column in flow_schedule.arrival_lists(horizon)
-        )
+        time, terminal, dst, serial = flow_schedule.arrival_lists(horizon)
         if serial.size:
             next_serial = max(next_serial, int(serial.max()) + 1)
         return time, terminal, dst, serial, next_serial
@@ -417,6 +416,50 @@ def _record_deliveries(stats, rows, at, a_time, p_hops, phits) -> tuple:
     return latency, hops
 
 
+def _views(views: list, rows: np.ndarray, columns: list) -> list[Packet]:
+    """The packets of ``rows``: ``views[row]``, made on first use from
+    ``columns`` -- the rows' ``(src, dst, created, serial, hops, via,
+    injected)`` arrays, ``-1`` for a missing via or injection -- and
+    brought up to date with them."""
+    packets = []
+    # Chunks bound the transient per-field lists of a large fill.
+    for lo in range(0, rows.size, 8192):
+        hi = lo + 8192
+        for row, src, dst, created, serial, hops, via, injected in zip(
+            rows[lo:hi].tolist(), *(c[lo:hi].tolist() for c in columns)
+        ):
+            packet = views[row]
+            if packet is None:
+                packet = views[row] = Packet(src, dst, created, serial=serial)
+            packet.hops = hops
+            packet.via = via if via >= 0 else None
+            packet.injected = injected if injected >= 0 else None
+            packets.append(packet)
+    return packets
+
+
+def _queue_fill(moved, moved_slots, cids, vcs, lens, ready, rows, columns, views):
+    """A run's end state as a fill of the simulator's per-VC lists.
+
+    ``moved`` link channels take the credit rows ``moved_slots``; the
+    queued packet ``rows`` -- ``lens`` of them per ``(cids, vcs)``
+    FIFO, in queue order, with their ``ready`` cycles and
+    :func:`_views` ``columns`` -- become ``(ready, Packet)`` entries,
+    reusing the packets the hooks saw (``views``).
+    """
+
+    def fill(ch_queues: list, ch_slots: list) -> None:
+        for cid, row in zip(moved.tolist(), moved_slots.tolist()):
+            ch_slots[cid][:] = row
+        entries = list(zip(ready.tolist(), _views(views, rows, columns)))
+        start = 0
+        for cid, vc, n in zip(cids.tolist(), vcs.tolist(), lens.tolist()):
+            ch_queues[cid][vc][:] = entries[start : start + n]
+            start += n
+
+    return fill
+
+
 def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """``starts[i], starts[i] + 1, ..., starts[i] + lens[i] - 1`` for
     every ``i``, concatenated."""
@@ -430,10 +473,13 @@ def run_relaxed(sim) -> SimResult:
 
     Deterministic per ``(topology, params, seed)``; statistically --
     not bit-for-bit -- equivalent to the exact engines (module
-    docstring).  The run keeps its state in arrays and writes it back
-    into the simulator's channel lists at the end, so post-run
-    inspection (``link_utilization``, ``ch_queues`` etc.) works as on
-    the exact engines.
+    docstring).  The run keeps its state in arrays.  At the end it
+    writes the busy and blocked times into the simulator's lists and
+    leaves the queued packets and credits as a deferred fill of
+    ``ch_queues`` and ``ch_slots``, so post-run inspection
+    (``link_utilization``, ``ch_queues`` etc.) works as on the exact
+    engines.  Credits start full unless the credit lists were already
+    built, by a reader or an earlier run.
     """
     params = sim.params
     stats = SimStats(warmup=params.warmup_cycles, horizon=params.horizon)
@@ -484,10 +530,14 @@ def run_relaxed(sim) -> SimResult:
     busy = np.array(sim.ch_busy, dtype=np.int64)
     busy_cycles = np.array(sim.ch_busy_cycles, dtype=np.int64)
     blocked = np.asarray(sim.ch_blocked, dtype=np.int64)[inject_cid]
-    slots = np.array(sim.ch_slots[:n_link], dtype=np.int64).reshape(
-        n_link, vcs
-    )
-    slots_at_start = slots.copy()
+    if sim._buffers_built():
+        slots = np.array(sim.ch_slots[:n_link], dtype=np.int64).reshape(
+            n_link, vcs
+        )
+        slots_at_start = slots.copy()
+    else:
+        slots = np.full((n_link, vcs), buffers, dtype=np.int64)
+        slots_at_start = buffers
     unit_slots = slots.reshape(-1)  # credits of link unit ``c * vcs + w``
 
     # ---- VC classes and viability gates --------------------------------
@@ -598,35 +648,12 @@ def run_relaxed(sim) -> SimResult:
         sim
     )
     views: list[Packet | None] = [None] * n_pk
+    packet_columns = (a_term, a_dst, a_time, a_serial, p_hops, p_via, p_inj)
 
     def views_of(rows: np.ndarray) -> list[Packet]:
         """The packets of ``rows``: one :class:`Packet` per packet and
-        run, made on its first event (or at run end, while it is still
-        queued) and brought up to date at each."""
-        packets = []
-        # Chunks bound the transient per-field lists of a large flush.
-        for lo in range(0, rows.size, 8192):
-            chunk = rows[lo : lo + 8192]
-            for row, src, dst, created, serial, hops, via, injected in zip(
-                chunk.tolist(),
-                a_term[chunk].tolist(),
-                a_dst[chunk].tolist(),
-                a_time[chunk].tolist(),
-                a_serial[chunk].tolist(),
-                p_hops[chunk].tolist(),
-                p_via[chunk].tolist(),
-                p_inj[chunk].tolist(),
-            ):
-                packet = views[row]
-                if packet is None:
-                    packet = views[row] = Packet(
-                        src, dst, created, serial=serial
-                    )
-                packet.hops = hops
-                packet.via = via if via >= 0 else None
-                packet.injected = injected if injected >= 0 else None
-                packets.append(packet)
-        return packets
+        run, made on its first event and brought up to date at each."""
+        return _views(views, rows, [c[rows] for c in packet_columns])
 
     def expose(units: np.ndarray, rows: np.ndarray, when) -> None:
         """Make ``rows`` the heads of ``units``, ready from ``when``."""
@@ -995,8 +1022,8 @@ def run_relaxed(sim) -> SimResult:
     if depth.size:
         sim.max_inject_queue = max(sim.max_inject_queue, int(depth.max()))
 
-    # Channel state back into the simulator's lists (identity kept),
-    # and every queued packet into ``ch_queues`` as ``(ready, Packet)``.
+    # Channel state back into the simulator's lists (identity kept);
+    # the queued packets and credits wait for a read of the per-VC lists.
     sim.ch_busy[:] = busy.tolist()
     sim.ch_busy_cycles[:] = busy_cycles.tolist()
     # An injection link is busy until its last packet's tail.
@@ -1006,26 +1033,27 @@ def run_relaxed(sim) -> SimResult:
     ch_blocked = sim.ch_blocked
     for cid, until in zip(inject_cid.tolist(), blocked.tolist()):
         ch_blocked[cid] = until
-    ch_slots = sim.ch_slots
     moved = (slots != slots_at_start).any(axis=1).nonzero()[0]
-    for cid, row in zip(moved.tolist(), slots[moved].tolist()):
-        ch_slots[cid][:] = row
     units = q_len.nonzero()[0]
     lens = q_len[units]
     link = units < n_lu
     slot = _spans(q_head[units], lens)
     slot[np.repeat(link, lens)] %= buffers
     queued = store[np.repeat(q_base[units], lens) + slot]
-    entries = list(zip(p_ready[queued].tolist(), views_of(queued)))
     cids = units // vcs
     cids[~link] = inject_cid[units[~link] - n_lu]
-    ch_queues = sim.ch_queues
-    start = 0
-    for cid, vc, n in zip(
-        cids.tolist(), np.where(link, units % vcs, 0).tolist(), lens.tolist()
-    ):
-        ch_queues[cid][vc][:] = entries[start : start + n]
-        start += n
+    fill = _queue_fill(
+        moved,
+        slots[moved],
+        cids,
+        np.where(link, units % vcs, 0),
+        lens,
+        p_ready[queued],
+        queued,
+        [c[queued] for c in packet_columns],
+        views,
+    )
+    sim._leave_buffer_fill(fill)
     sim._next_serial = next_serial
     result = SimResult.from_stats(
         stats,

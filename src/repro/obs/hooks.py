@@ -222,9 +222,14 @@ class MetricsObserver(SimObserver):
                 (np.asarray(counters.ch_class) != counters.eject_class)
                 & (grants > 0)
             )
-            src, dst = sim.ch_src, sim.ch_dst
-            for cid, count in zip(used.tolist(), grants[used].tolist()):
-                reg.counter(f"link.{src[cid]}->{dst[cid]}").inc(count * phits)
+            reg.counter_block(
+                "link.{}->{}",
+                (
+                    np.asarray(sim.ch_src)[used].tolist(),
+                    np.asarray(sim.ch_dst)[used].tolist(),
+                ),
+                (grants[used] * phits).tolist(),
+            )
             _observe_bins(
                 reg.histogram("vc.credits_at_grant"), counters.credits
             )

@@ -24,7 +24,7 @@ attaching metrics can never perturb a simulation result.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Counter",
@@ -147,19 +147,49 @@ class MetricsRegistry:
         reg.counter("inject.packets").inc()
         reg.histogram("latency.packet").observe(42)
         reg.export()   # {"counters": {...}, "histograms": {...}, ...}
+
+    Many counters of one naming pattern can be added as a single
+    :meth:`counter_block`, which makes no per-counter object.
     """
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
+        #: ``(template, keys, amounts)`` of each :meth:`counter_block`.
+        self._blocks: list[tuple[str, tuple[Sequence, ...], Sequence[int]]] = []
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._timeseries: dict[str, TimeSeries] = {}
 
     def counter(self, name: str) -> Counter:
+        if self._blocks:
+            # A named counter reads its block increments too.
+            items = list(self._block_items())
+            self._blocks.clear()
+            for block_name, amount in items:
+                self.counter(block_name).inc(amount)
         metric = self._counters.get(name)
         if metric is None:
             metric = self._counters[name] = Counter()
         return metric
+
+    def counter_block(
+        self, template: str, keys: tuple[Sequence, ...], amounts: Sequence[int]
+    ) -> None:
+        """Add many counters of one naming pattern in one call.
+
+        ``amounts[i]`` goes to the counter named
+        ``template.format(*(column[i] for column in keys))``.  The
+        block is kept as given and expanded by :meth:`export` (or by
+        the next :meth:`counter` call), so a run's thousands of
+        per-link totals cost no object each.  Names that repeat, within
+        a block or with :meth:`counter`, add up.
+        """
+        self._blocks.append((template, keys, amounts))
+
+    def _block_items(self) -> Iterator[tuple[str, int]]:
+        for template, keys, amounts in self._blocks:
+            for *key, amount in zip(*keys, amounts):
+                yield template.format(*key), amount
 
     def gauge(self, name: str) -> Gauge:
         metric = self._gauges.get(name)
@@ -181,11 +211,11 @@ class MetricsRegistry:
 
     def export(self) -> dict:
         """Plain-JSON snapshot with every key level sorted."""
+        counters = {name: c.export() for name, c in self._counters.items()}
+        for name, amount in self._block_items():
+            counters[name] = counters.get(name, 0) + amount
         return {
-            "counters": {
-                name: self._counters[name].export()
-                for name in sorted(self._counters)
-            },
+            "counters": {name: counters[name] for name in sorted(counters)},
             "gauges": {
                 name: self._gauges[name].export()
                 for name in sorted(self._gauges)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -75,7 +75,31 @@ class Simulator:
     listeners (no RNG, no engine mutation), so an instrumented run
     produces the exact same :class:`SimResult` as a bare one; when
     ``observer`` is None each event costs a pointer test or two.
+
+    Construction builds the channel arrays every engine reads.  The
+    per-VC state -- :attr:`ch_queues`, :attr:`ch_slots`,
+    :attr:`in_units` and :attr:`link_channel` -- is built on its first
+    read (:meth:`__getattr__`): the exact engines read it at run start,
+    the relaxed engine keeps its own arrays and never does.
     """
+
+    #: Per channel: one FIFO of ``(ready, Packet)`` entries per VC on a
+    #: link, one on an injection channel, ``None`` on an ejection one.
+    ch_queues: list[list | None]
+    #: Free downstream slots per VC of each link channel, else ``None``.
+    ch_slots: list[list[int] | None]
+    #: Per switch: its input units ``(channel, vc)``, link VCs first.
+    in_units: list[list[tuple[int, int]]]
+    #: ``(src, dst)`` switch pair -> link channel id.
+    link_channel: dict[tuple[int, int], int]
+
+    #: Lazily built attributes and the builder that sets each.
+    _LAZY_STATE = {
+        "ch_queues": "_build_buffers",
+        "ch_slots": "_build_buffers",
+        "in_units": "_build_in_units",
+        "link_channel": "_build_link_channel",
+    }
 
     def __init__(
         self,
@@ -184,19 +208,15 @@ class Simulator:
         return pairs[~np.isin(keys, gone)]
 
     def _build_channels(self, pairs: np.ndarray) -> None:
-        """Channel state for the surviving cables ``pairs``, in bulk.
+        """Channel endpoint arrays for the surviving cables ``pairs``.
 
         Channel ids follow the cable order: cable ``i`` owns ``2i``
         (lo -> hi) and ``2i + 1`` (hi -> lo), then terminal ``t`` owns
-        ``2L + 2t`` (inject) and ``2L + 2t + 1`` (eject).  Every FIFO is
-        a plain list: credits bound a link VC's to ``buffer_packets``
-        entries, so popping the head with ``del queue[0]`` moves at most
-        a few pointers, and an empty list takes 56 bytes where a
-        double-ended queue takes 760.
+        ``2L + 2t`` (inject) and ``2L + 2t + 1`` (eject).  Only the
+        per-channel kind, endpoint and busy lists are built here; the
+        per-VC state waits for its first read (:meth:`__getattr__`).
         """
         topo = self.topo
-        params = self.params
-        vcs = params.virtual_channels
         n_link = 2 * len(pairs)
         n_term = topo.num_terminals
         leaves = [topo.terminal_switch(t) for t in range(n_term)]
@@ -221,36 +241,19 @@ class Simulator:
         self.ch_busy: list[int] = [0] * n_ch
         self.ch_blocked: list[int] = [0] * n_ch
         self.ch_busy_cycles: list[int] = [0] * n_ch
-        terminal_queues: list[list | None] = [None] * (2 * n_term)
-        terminal_queues[::2] = [[[]] for _ in range(n_term)]
-        self.ch_queues: list[list | None] = [
-            [[] for _ in range(vcs)] for _ in range(n_link)
-        ] + terminal_queues
-        self.ch_slots: list[list[int] | None] = [
-            [params.buffer_packets] * vcs for _ in range(n_link)
-        ] + [None] * (2 * n_term)
         self.max_inject_queue = 0
-
-        link_dst = self.ch_dst[:n_link]
-        # A pair listed twice maps to its last channel.
-        self.link_channel: dict[tuple[int, int], int] = dict(
-            zip(zip(self.ch_src[:n_link], link_dst), range(n_link))
-        )
         self.inject_channel: list[int] = list(range(n_link, n_ch, 2))
         self.eject_channel: list[int] = list(range(n_link + 1, n_ch, 2))
-        n_sw = topo.num_switches
-        self.in_units: list[list[tuple[int, int]]] = [[] for _ in range(n_sw)]
-        vc_range = range(vcs)
-        for cid, b in enumerate(link_dst):
-            self.in_units[b].extend([(cid, vc) for vc in vc_range])
-        for cid, leaf in zip(self.inject_channel, leaves):
-            self.in_units[leaf].append((cid, 0))
+        #: A finished relaxed run's queued packets and credits, written
+        #: into :attr:`ch_queues` / :attr:`ch_slots` when they are built.
+        self._buffer_fill: Callable[[list, list], None] | None = None
 
         # Flat-id decomposition caches for folded Clos routing.
         if not self._direct:
             self.level_offsets = [
                 topo.switch_id(level, 0) for level in range(topo.num_levels)
             ]
+            n_sw = topo.num_switches
             self.level_of = [0] * n_sw
             self.index_of = [0] * n_sw
             for level, (first, size) in enumerate(
@@ -258,6 +261,79 @@ class Simulator:
             ):
                 self.level_of[first : first + size] = [level] * size
                 self.index_of[first : first + size] = range(size)
+
+    def __getattr__(self, name: str):
+        """Build a lazily held attribute (:attr:`_LAZY_STATE`) on its
+        first read; reached only while ``name`` is not yet set."""
+        builder = self._LAZY_STATE.get(name)
+        if builder is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        getattr(self, builder)()
+        return self.__dict__[name]
+
+    def _build_buffers(self) -> None:
+        """:attr:`ch_queues` and :attr:`ch_slots`: an empty plain-list
+        FIFO per link VC and per injection channel, and a full credit
+        row per link channel -- then the state a relaxed run left.
+
+        Credits bound a link VC's FIFO to ``buffer_packets`` entries,
+        so popping the head with ``del queue[0]`` moves at most a few
+        pointers, and an empty list takes 56 bytes where a
+        double-ended queue takes 760.
+        """
+        params = self.params
+        vcs = params.virtual_channels
+        n_link = self.n_link_channels
+        n_term = len(self.inject_channel)
+        terminal_queues: list[list | None] = [None] * (2 * n_term)
+        terminal_queues[::2] = [[[]] for _ in range(n_term)]
+        self.ch_queues = [
+            [[] for _ in range(vcs)] for _ in range(n_link)
+        ] + terminal_queues
+        self.ch_slots = [
+            [params.buffer_packets] * vcs for _ in range(n_link)
+        ] + [None] * (2 * n_term)
+        fill, self._buffer_fill = self._buffer_fill, None
+        if fill is not None:
+            fill(self.ch_queues, self.ch_slots)
+
+    def _buffers_built(self) -> bool:
+        """Whether :attr:`ch_slots` exists, or a run left a fill that
+        builds it."""
+        return "ch_slots" in self.__dict__ or self._buffer_fill is not None
+
+    def _leave_buffer_fill(self, fill: Callable[[list, list], None]) -> None:
+        """Have ``fill(ch_queues, ch_slots)`` write a run's end state:
+        now if the per-VC lists exist, else on their first read."""
+        if "ch_queues" in self.__dict__:
+            fill(self.ch_queues, self.ch_slots)
+        else:
+            self._buffer_fill = fill
+
+    def _build_in_units(self) -> None:
+        """:attr:`in_units`: every link VC at its downstream switch, in
+        channel order, then each injection channel at its leaf."""
+        n_link = self.n_link_channels
+        ch_dst = self.ch_dst
+        units: list[list[tuple[int, int]]] = [
+            [] for _ in range(self.topo.num_switches)
+        ]
+        vc_range = range(self.params.virtual_channels)
+        for cid, b in enumerate(ch_dst[:n_link]):
+            units[b].extend([(cid, vc) for vc in vc_range])
+        for cid in self.inject_channel:
+            units[ch_dst[cid]].append((cid, 0))
+        self.in_units = units
+
+    def _build_link_channel(self) -> None:
+        """:attr:`link_channel`, in channel order: a pair listed twice
+        maps to its last channel."""
+        n_link = self.n_link_channels
+        self.link_channel = dict(
+            zip(zip(self.ch_src[:n_link], self.ch_dst[:n_link]), range(n_link))
+        )
 
     # ------------------------------------------------------------------
     # Virtual-channel classes

@@ -38,6 +38,8 @@ import random
 from array import array
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..simulation.traffic import TrafficPattern
 
 __all__ = [
@@ -134,26 +136,25 @@ class FlowSchedule:
 
     def arrival_lists(
         self, horizon: int
-    ) -> tuple[list[int], list[int], list[int], list[int]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Flat per-packet arrival arrays for the relaxed engine.
 
-        Returns ``(times, terminals, dsts, serials)`` sorted by
-        ``(time, terminal, serial)`` -- the relaxed engine's arrival
-        ordering (time-major, then terminal, mirroring its Bernoulli
-        ``lexsort``), truncated at ``horizon``.
+        Returns ``(times, terminals, dsts, serials)``, four int64 arrays
+        sorted by ``(time, terminal, serial)`` -- the relaxed engine's
+        arrival ordering (time-major, then terminal, mirroring its
+        Bernoulli ``lexsort``), truncated at ``horizon``.
         """
-        entries: list[tuple[int, int, int, int]] = []
-        for terminal, row in enumerate(self.releases):
-            for start, dst, serial in row:
-                if start <= horizon:
-                    entries.append((start, terminal, serial, dst))
-        entries.sort()
-        return (
-            [e[0] for e in entries],
-            [e[1] for e in entries],
-            [e[3] for e in entries],
-            [e[2] for e in entries],
-        )
+        columns = np.array(
+            [(f.start, f.src, f.dst, f.size) for f in self.flows],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        sizes = columns[:, 3]
+        # Each flow's packets hold consecutive serials in flow order.
+        time, terminal, dst = (np.repeat(columns[:, k], sizes) for k in range(3))
+        serial = np.arange(len(time), dtype=np.int64)
+        kept = np.flatnonzero(time <= horizon)
+        order = kept[np.lexsort((serial[kept], terminal[kept], time[kept]))]
+        return time[order], terminal[order], dst[order], serial[order]
 
     def estimated_load(self, packet_phits: int, horizon: int) -> float:
         """Offered phits per terminal per cycle implied by the schedule."""

@@ -127,6 +127,26 @@ class TestRegistry:
 
         assert build() == build()
 
+    def test_counter_block_exports_as_named_counters(self):
+        reg = MetricsRegistry()
+        reg.counter("link.1->2").inc(5)
+        reg.counter("hop.count").inc(1)
+        reg.counter_block("link.{}->{}", ([1, 3, 3], [2, 0, 0]), [10, 4, 6])
+        # Kept as one block until read: exporting twice is stable.
+        assert reg.export() == reg.export()
+        assert reg.export()["counters"] == {
+            "hop.count": 1,
+            "link.1->2": 15,
+            "link.3->0": 10,
+        }
+
+    def test_counter_reads_its_block_increments(self):
+        reg = MetricsRegistry()
+        reg.counter_block("c.{}", ([7, 8],), [2, 3])
+        assert reg.counter("c.7").value == 2
+        reg.counter("c.8").inc()
+        assert reg.export()["counters"] == {"c.7": 2, "c.8": 4}
+
 
 class TestMerge:
     def test_counters_add(self):

@@ -12,7 +12,10 @@ pruned routing tables that drop packets as unroutable, keyed traffic
 destinations, multi-round arbitration, and a flow workload with the
 tracker and metrics observers attached.  ``rpc_8k`` is the benchmark's
 ``rpc_8k_relaxed`` run at full size (8192 terminals), with its metrics
-export pinned by digest as well.
+export pinned by digest as well.  Every case also pins a digest of the
+simulator's post-run channel state (:func:`channel_state_digest`): the
+queued packets, the credits, the busy and blocked times and the deepest
+injection queue.
 
 Regenerate only on an intentional change to the relaxed engine's
 semantics, and say so in the change log::
@@ -30,7 +33,7 @@ import random
 import pytest
 
 from repro.core.rfc import rfc_with_updown
-from repro.obs.hooks import MetricsObserver, MultiObserver
+from repro.obs.hooks import MetricsObserver, MultiObserver, SimObserver
 from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator
 from repro.simulation.traffic import make_traffic
@@ -157,12 +160,41 @@ CASES = {
 }
 
 
+def channel_state_digest(sim) -> str:
+    """sha256 of ``sim``'s post-run channel state: every queued
+    ``(ready, Packet)`` entry as ``(ready, serial, hops, via,
+    injected)`` in its channel and VC, the credit rows, the busy,
+    busy-cycle and blocked times, and ``max_inject_queue``."""
+    queues = [
+        None
+        if fifos is None
+        else [
+            [
+                [ready, p.serial, p.hops, p.via, p.injected]
+                for ready, p in fifo
+            ]
+            for fifo in fifos
+        ]
+        for fifos in sim.ch_queues
+    ]
+    state = {
+        "queues": queues,
+        "slots": sim.ch_slots,
+        "busy": sim.ch_busy,
+        "busy_cycles": sim.ch_busy_cycles,
+        "blocked": sim.ch_blocked,
+        "max_inject_queue": sim.max_inject_queue,
+    }
+    return hashlib.sha256(json.dumps(state).encode()).hexdigest()
+
+
 def run_case(build) -> dict:
-    """``core_dict()`` of one run, plus the flow summary when tracked
-    and the sha256 of the metrics export when a builder returns its
-    :class:`MetricsObserver` third."""
+    """``core_dict()`` of one run, plus the flow summary when tracked,
+    the sha256 of the metrics export when a builder returns its
+    :class:`MetricsObserver` third, and the channel-state digest."""
     sim, tracker, *metrics = build()
     pin = sim.run().core_dict()
+    pin["channel_state_sha256"] = channel_state_digest(sim)
     if tracker is not None:
         pin["flow_stats"] = tracker.summary(sim.params.packet_phits)
     if metrics:
@@ -173,11 +205,16 @@ def run_case(build) -> dict:
 
 #: Recorded from the relaxed engine before its route tables moved to
 #: the CSR arrays (no per-key list mirror, one int32 candidate matrix).
+#: ``channel_state_sha256`` was recorded before the per-VC channel
+#: state became lazy (queued packets written back at run end).
 PINS: dict[str, dict] = {
     "direct_rrn": {
         "accepted_load": 0.505,
         "avg_hops": 1.933993399339934,
         "avg_latency": 48.976897689768975,
+        "channel_state_sha256": (
+            "2d89c5b423558116ed4b5168cb8578d3046dfccf6e6e8b8e34c95f475b4f43ab"
+        ),
         "delivered_packets": 374,
         "generated_packets": 408,
         "max_latency": 153,
@@ -193,6 +230,9 @@ PINS: dict[str, dict] = {
         "accepted_load": 0.4125,
         "avg_hops": 2.8646464646464644,
         "avg_latency": 65.51515151515152,
+        "channel_state_sha256": (
+            "b7f8d62110a5f840488f912e1ddb50dadb4785e6677df00069cb9918f6ebdd34"
+        ),
         "delivered_packets": 634,
         "generated_packets": 958,
         "max_latency": 317,
@@ -208,6 +248,9 @@ PINS: dict[str, dict] = {
         "accepted_load": 0.22,
         "avg_hops": 5.681818181818182,
         "avg_latency": 114.50378787878788,
+        "channel_state_sha256": (
+            "5194d89f070ae5eb573e0920826b981b8c32e03a7f906f3e0733ed1da28ecd66"
+        ),
         "delivered_packets": 335,
         "generated_packets": 788,
         "max_latency": 370,
@@ -223,6 +266,9 @@ PINS: dict[str, dict] = {
         "accepted_load": 0.42916666666666664,
         "avg_hops": 2.675728155339806,
         "avg_latency": 78.11456310679611,
+        "channel_state_sha256": (
+            "40544884472d94e8aa662db70bf1744bc1ffef6b9d2be937ecc78bd90ac9892b"
+        ),
         "delivered_packets": 679,
         "generated_packets": 1099,
         "max_latency": 352,
@@ -240,6 +286,9 @@ PINS: dict[str, dict] = {
         "accepted_load": 0.30095703125,
         "avg_hops": 3.262249334804335,
         "avg_latency": 56.25900447790252,
+        "channel_state_sha256": (
+            "6d6ef0e6be505761ea31772e3406f402d48809861cbdb2a939af8373eccac7cf"
+        ),
         "delivered_packets": 20562,
         "flow_stats": {
             "fct_max": 164.0,
@@ -272,6 +321,9 @@ PINS: dict[str, dict] = {
         "accepted_load": 0.4008333333333333,
         "avg_hops": 2.8523908523908523,
         "avg_latency": 80.29521829521829,
+        "channel_state_sha256": (
+            "ae803c0caa64c307e2bfaf07c4c68e46ea895f4db3cbb9455a36b83485eaac3d"
+        ),
         "delivered_packets": 585,
         "flow_stats": {
             "fct_max": 304.0,
@@ -301,6 +353,9 @@ PINS: dict[str, dict] = {
         "accepted_load": 0.56,
         "avg_hops": 2.607142857142857,
         "avg_latency": 51.27529761904762,
+        "channel_state_sha256": (
+            "91828b69577c0cddbd31c27b1cfe30fabb38992b2ef84d4fc8d93cc0a5a6de33"
+        ),
         "delivered_packets": 864,
         "generated_packets": 958,
         "max_latency": 241,
@@ -316,6 +371,9 @@ PINS: dict[str, dict] = {
         "accepted_load": 0.37666666666666665,
         "avg_hops": 5.185840707964601,
         "avg_latency": 92.39823008849558,
+        "channel_state_sha256": (
+            "b68d7921c34119ec018e69a5f5c5c2810df2c088849ff404fbfaede7390a7edd"
+        ),
         "delivered_packets": 566,
         "generated_packets": 788,
         "max_latency": 324,
@@ -333,6 +391,51 @@ PINS: dict[str, dict] = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_relaxed_run_matches_pin(name):
     assert run_case(CASES[name]) == PINS[name]
+
+
+class _InjectRecorder(SimObserver):
+    """Keeps every packet ``on_inject`` hands out, by serial."""
+
+    def __init__(self) -> None:
+        self.packets: dict = {}
+
+    def on_inject(self, time, packet, queue_len) -> None:
+        self.packets[packet.serial] = packet
+
+
+def test_queued_packets_wait_for_a_read_and_reuse_hook_packets():
+    """The run leaves its queued packets for the first read of the
+    per-VC lists, and that read hands back the packets the hooks saw."""
+    sim, _ = uniform_rfc()
+    recorder = sim.observer = _InjectRecorder()
+    sim.run()
+    assert not {"ch_queues", "ch_slots"} & set(vars(sim))
+    queued = [
+        packet
+        for fifos in sim.ch_queues
+        if fifos is not None
+        for fifo in fifos
+        for _ready, packet in fifo
+    ]
+    assert queued
+    assert all(recorder.packets[p.serial] is p for p in queued)
+    assert channel_state_digest(sim) == PINS["uniform_rfc"][
+        "channel_state_sha256"
+    ]
+
+
+@pytest.mark.parametrize("name", ["valiant_rfc", "rpc_flows_tracked"])
+def test_lists_built_before_the_run_take_the_same_end_state(name):
+    """Credit lists a reader built before the run seed its credits, and
+    the run writes its end state into them at once."""
+    sim, *_ = CASES[name]()
+    assert all(
+        slots == [sim.params.buffer_packets] * sim.params.virtual_channels
+        for slots in sim.ch_slots[: sim.n_link_channels]
+    )
+    sim.run()
+    assert sim._buffer_fill is None
+    assert channel_state_digest(sim) == PINS[name]["channel_state_sha256"]
 
 
 def test_faulted_pins_drop_unroutable_packets():

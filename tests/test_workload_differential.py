@@ -16,6 +16,7 @@ simulation itself.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -250,11 +251,17 @@ def test_schedule_invariants(schedule):
     assert sum(len(row) for row in schedule.releases) == (
         schedule.total_packets
     )
-    times, terms, dsts, serials = schedule.arrival_lists(10_000)
+    columns = schedule.arrival_lists(10_000)
+    assert all(c.dtype == np.int64 for c in columns)
+    times, terms, dsts, serials = (c.tolist() for c in columns)
     assert len(times) == schedule.total_packets
-    assert sorted(serials) == list(range(schedule.total_packets))
-    key = list(zip(times, terms, serials))
-    assert key == sorted(key)
+    # Exactly the releases sorted by (time, terminal, serial).
+    expected = sorted(
+        (start, terminal, serial, dst)
+        for terminal, row in enumerate(schedule.releases)
+        for start, dst, serial in row
+    )
+    assert list(zip(times, terms, serials, dsts)) == expected
 
 
 @settings(max_examples=15, deadline=None)

@@ -6,6 +6,7 @@ integration, the pooled-percentile merge, and the CLI subcommand.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.exec.cache import ResultCache, cache_key, topology_digest
@@ -85,9 +86,28 @@ class TestFlowSchedule:
         sched = FlowSchedule(
             [Flow(0, 0, 1, 1, 0), Flow(1, 0, 1, 1, 500)], 4
         )
+        columns = sched.arrival_lists(100)
+        assert all(c.dtype == np.int64 for c in columns)
+        assert [c.tolist() for c in columns] == [[0], [0], [1], [0]]
+
+    def test_arrival_lists_order_time_terminal_serial(self):
+        # Flow order is (start, flow_id); arrivals interleave terminals
+        # within a cycle and keep each terminal's serials ascending.
+        sched = FlowSchedule(
+            [
+                Flow(0, 2, 0, 2, 5),
+                Flow(1, 1, 3, 1, 5),
+                Flow(2, 2, 1, 1, 0),
+                Flow(3, 0, 1, 3, 5),
+                Flow(4, 1, 2, 1, 101),
+            ],
+            4,
+        )
         times, terms, dsts, serials = sched.arrival_lists(100)
-        assert times == [0] and terms == [0]
-        assert dsts == [1] and serials == [0]
+        assert times.tolist() == [0, 5, 5, 5, 5, 5, 5]
+        assert terms.tolist() == [2, 0, 0, 0, 1, 2, 2]
+        assert dsts.tolist() == [1, 1, 1, 1, 3, 0, 0]
+        assert serials.tolist() == [0, 4, 5, 6, 3, 1, 2]
 
     def test_flow_traffic_destination_is_off_limits(self):
         import random
