@@ -55,6 +55,8 @@ __all__ = [
     "popcount",
     "build_padded_candidates",
     "run_relaxed",
+    "shuffled_range",
+    "stable_order",
     "build_relaxed_candidates",
     "KeyedStream",
     "counter_key",
@@ -91,6 +93,7 @@ if AVAILABLE:
         words_for,
     )
     from .csr import CsrAdjacency, gather_min, gather_or
+    from .order import shuffled_range, stable_order
     from .relaxed import (
         build_padded_candidates,
         build_relaxed_candidates,

@@ -32,6 +32,10 @@ parallels, sorted CSR rows) are asserted exactly, per seed.
 
 Edge keys are built in ``int64`` throughout: ``u * n2 + v`` crosses
 ``2**31`` long before the million-terminal scale (see lint RPR102).
+The in-batch deduplication sorts each key with its batch position
+packed underneath (:func:`repro.accel.order.stable_order`), so keys
+plus positions must fit 63 bits: at degree 32 that allows up to 2**19
+switches per side, and the million-terminal RFC needs 51 bits.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..topologies.random_graphs import GenerationError
+from .order import stable_order
 
 __all__ = [
     "random_bipartite_csr",
@@ -64,6 +69,16 @@ def _as_generator(rng: np.random.Generator | int) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     return np.random.default_rng(rng)
+
+
+def _check_key_bits(max_key: int, pairs: int) -> None:
+    """Each round dedupes its edge keys by one :func:`stable_order`,
+    which packs a pair's position under its key into 63 bits."""
+    if max_key.bit_length() + pairs.bit_length() > 63:
+        raise GenerationError(
+            f"edge keys up to {max_key} over {pairs} pairs do not pack "
+            "into 63 bits; the batched generators stop short of this size"
+        )
 
 
 def csr_rows_sorted(
@@ -164,6 +179,7 @@ def random_bipartite_csr(
             np.zeros(n1 + 1, dtype=np.int64),
             np.zeros(0, dtype=np.int32),
         )
+    _check_key_bits(n1 * n2 - 1, n1 * d1)
     gen = _as_generator(rng)
     for _ in range(max_restarts):
         keys = _try_bipartite_batched(n1, d1, n2, d2, gen)
@@ -191,8 +207,7 @@ def _try_bipartite_batched(
         # duplicates would be parallel edges.  ``cand`` walks ``order``
         # so ``key[cand]`` comes out sorted -- the merge below relies
         # on it.
-        order = np.argsort(key, kind="stable")
-        sorted_keys = key[order]
+        order, sorted_keys = stable_order(key)
         is_first = np.ones(sorted_keys.size, dtype=bool)
         is_first[1:] = sorted_keys[1:] != sorted_keys[:-1]
         cand = order[is_first]
@@ -251,6 +266,7 @@ def random_regular_csr(
         raise GenerationError(
             f"n * degree = {n * degree} is odd; no regular graph exists"
         )
+    _check_key_bits(n * n - 1, n * degree // 2)
     gen = _as_generator(rng)
     for _ in range(max_restarts):
         keys = _try_regular_batched(n, degree, gen)
@@ -277,8 +293,7 @@ def _try_regular_batched(
         hi = np.maximum(u, v)
         key = lo * np.int64(n) + hi
         simple = lo != hi
-        order = np.argsort(key, kind="stable")
-        sorted_keys = key[order]
+        order, sorted_keys = stable_order(key)
         is_first = np.ones(sorted_keys.size, dtype=bool)
         is_first[1:] = sorted_keys[1:] != sorted_keys[:-1]
         first = np.zeros(key.size, dtype=bool)

@@ -138,8 +138,12 @@ class _StageEdges:
         self.up_rows = np.nonzero(counts)[0]
         self.up_starts = offsets[self.up_rows]
         # Group by upper endpoint: stable sort keeps per-switch edge
-        # order deterministic.
-        self.down_perm = np.argsort(self.dst, kind="stable")
+        # order deterministic.  On the smallest unsigned dtype that
+        # holds ``n_hi`` (16 bits or fewer), numpy's stable sort is a
+        # radix sort.
+        self.down_perm = np.argsort(
+            self.dst.astype(np.min_scalar_type(n_hi)), kind="stable"
+        )
         self.down_src = self.src[self.down_perm]
         dst_counts = np.bincount(self.dst, minlength=n_hi).astype(np.intp)
         self.down_offsets = np.zeros(n_hi + 1, dtype=np.intp)

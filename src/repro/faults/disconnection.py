@@ -21,7 +21,7 @@ import statistics
 from dataclasses import dataclass
 
 from ..topologies.base import DirectNetwork, FoldedClos
-from .removal import UnionFind, failure_threshold, shuffled_links
+from .removal import UnionFind, shuffled_links
 
 __all__ = ["DisconnectionResult", "disconnection_fraction", "disconnection_trial"]
 
@@ -45,28 +45,45 @@ def disconnection_trial(
     rng: random.Random | int | None = None,
     scope: str = "switches",
 ) -> int:
-    """Failures needed to disconnect under one random failure order."""
+    """Failures needed to disconnect under one random failure order.
+
+    Connectivity is monotone along the order, so one union-find pass
+    adds the links back in reverse failure order until the watched
+    switches are connected: if that takes links ``k..L-1``, the
+    ``(k + 1)``-th failure disconnects.  Returns ``L + 1`` when the
+    network is connected with no links and 0 when it never is -- the
+    answer of :func:`~repro.faults.removal.failure_threshold`.
+    """
     pairs = shuffled_links(network, rng=rng).pairs.tolist()
     num_switches = network.num_switches
     if scope == "switches":
-        watched = None
+        watched = num_switches
+        # One component: a lone switch is, an empty network is not.
+        linkless = num_switches == 1
     elif scope == "leaves":
         if isinstance(network, FoldedClos):
-            watched = list(range(network.num_leaves))
+            watched = network.num_leaves
         else:
-            watched = list(range(num_switches))
+            watched = num_switches
+        linkless = watched <= 1
     else:
         raise ValueError(f"unknown scope {scope!r}")
-
-    def still_ok(k: int) -> bool:
-        uf = UnionFind(num_switches)
-        for lo, hi in pairs[k:]:
-            uf.union(lo, hi)
-        if watched is None:
-            return uf.components == 1
-        return uf.all_connected(watched)
-
-    return failure_threshold(len(pairs), still_ok)
+    if linkless:
+        return len(pairs) + 1
+    uf = UnionFind(num_switches)
+    # Watched switches per component, read at the roots; the watched
+    # switches are the first ``watched`` flat ids.
+    weight = [1] * watched + [0] * (num_switches - watched)
+    for k in range(len(pairs) - 1, -1, -1):
+        lo, hi = pairs[k]
+        ra, rb = uf.find(lo), uf.find(hi)
+        if ra != rb:
+            uf.union(ra, rb)
+            merged = weight[ra] + weight[rb]
+            weight[ra] = weight[rb] = merged
+            if merged == watched:
+                return k + 1
+    return 0
 
 
 def disconnection_fraction(

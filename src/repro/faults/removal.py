@@ -10,11 +10,15 @@ makes 100-trial averages at paper scale affordable.
 
 A failure order is a :class:`FailureOrder`: a row permutation of the
 topology's ``links_array()``, read as a sequence of :class:`Link`.
-:func:`shuffled_links` shuffles an index list rather than ``Link``
-objects; ``random.shuffle``'s swaps depend only on the list length,
-so the order and the RNG stream left behind are those of shuffling
+:func:`shuffled_links` draws the permutation with
+:func:`repro.accel.order.shuffled_range`, a numpy replay of
+``random.shuffle(list(range(L)))``: it reads the same Mersenne Twister
+words from the caller's ``random.Random``, makes the same rejection
+decisions and swaps, and writes the advanced state back.
+``random.shuffle``'s swaps depend only on the list length, so the order
+and the RNG stream left behind are bit for bit those of shuffling
 ``network.links()`` in place.  Array consumers (the Fig. 11 threshold
-search, Table 3 union-find probes) read :attr:`FailureOrder.pairs`
+search, the Table 3 union-find pass) read :attr:`FailureOrder.pairs`
 directly and never build a ``Link`` per cable.
 """
 
@@ -26,6 +30,7 @@ from typing import Callable, Iterator, overload
 
 import numpy as np
 
+from ..accel.order import shuffled_range
 from ..topologies.base import DirectNetwork, FoldedClos, Link
 
 __all__ = [
@@ -95,13 +100,12 @@ def shuffled_links(
     """The network's links in a uniformly random failure order.
 
     Same order, and same ``rng`` state afterwards, as
-    ``rng.shuffle(network.links())``.
+    ``rng.shuffle(network.links())``.  ``rng`` is a
+    :class:`random.Random` or a seed for one; any other generator,
+    a ``random.Random`` subclass included, raises :class:`TypeError`.
     """
-    rand = rng if isinstance(rng, random.Random) else random.Random(rng)
     pairs = network.links_array()
-    perm = list(range(len(pairs)))
-    rand.shuffle(perm)
-    return FailureOrder(pairs[np.array(perm, dtype=np.intp)])
+    return FailureOrder(pairs[shuffled_range(rng, len(pairs))])
 
 
 def failure_threshold(

@@ -76,16 +76,15 @@ def _foreign_link(link: Link) -> ValueError:
 
 
 def _order_pairs(order):
-    """``(lo, hi)`` int64 columns of a failure order.
+    """``(lo, hi)`` integer columns of a failure order.
 
-    A :class:`FailureOrder` hands over its pair array; any other
-    sequence of :class:`Link` is read link by link.
+    A :class:`FailureOrder` hands over views of its int32 pair array;
+    any other sequence of :class:`Link` is read link by link (int64).
     """
     import numpy as np
 
     if isinstance(order, FailureOrder):
-        pairs = order.pairs
-        return pairs[:, 0].astype(np.int64), pairs[:, 1].astype(np.int64)
+        return order.pairs[:, 0], order.pairs[:, 1]
     count = len(order)
     lo = np.fromiter((link.lo for link in order), dtype=np.int64, count=count)
     hi = np.fromiter((link.hi for link in order), dtype=np.int64, count=count)
@@ -110,13 +109,25 @@ def _stage_failure_positions(
     never = len(order)
     n = topo.num_switches
     lo, hi = _order_pairs(order)
-    # Out-of-range ids get key -1, which no stage edge has.
-    link_keys = np.where((lo >= 0) & (hi < n), lo * n + hi, -1)
-    # return_index sorts stably, so ``first`` is each key's first position.
-    keys, first = np.unique(link_keys, return_index=True)
-    # Sentinel above every edge key: searchsorted always lands in range.
-    keys = np.append(keys, n * n)
-    first = np.append(first, never)
+    # Out-of-range ids get key -1, which no stage edge has.  A sentinel
+    # above every edge key, at position ``never``, ends the array, so
+    # searchsorted always lands in range.
+    link_keys = np.empty(never + 1, dtype=np.int64)
+    np.multiply(lo, n, out=link_keys[:-1], dtype=np.int64)
+    link_keys[:-1] += hi
+    link_keys[:-1][(lo < 0) | (hi >= n)] = -1
+    link_keys[-1] = n * n
+    del lo, hi
+    # Stable order, so ``first`` is each key's first position.
+    perm, sorted_keys = _accel.stable_order(link_keys)
+    del link_keys
+    is_first = np.ones(sorted_keys.size, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=is_first[1:])
+    # int32 positions (orders are shorter than 2**31 links) halve what
+    # the probes keep alive.
+    keys = sorted_keys[is_first]
+    first = perm[is_first].astype(np.int32 if never < 2**31 else np.int64)
+    del perm, sorted_keys, is_first
     matched = np.zeros(keys.size, dtype=bool)
     positions = []
     for stage, (src, dst) in enumerate(sweeper.edge_keys()):

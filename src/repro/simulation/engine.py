@@ -219,7 +219,11 @@ class Simulator:
         topo = self.topo
         n_link = 2 * len(pairs)
         n_term = topo.num_terminals
-        leaves = [topo.terminal_switch(t) for t in range(n_term)]
+        if isinstance(topo, DirectNetwork):
+            hosts = topo.hosts_per_switch
+        else:
+            hosts = topo.hosts_per_leaf
+        leaves = np.arange(n_term) // hosts
 
         src = np.empty(n_link + 2 * n_term, dtype=np.int64)
         dst = np.empty_like(src)

@@ -56,6 +56,7 @@ import math
 
 import numpy as np
 
+from ..accel.order import stable_order
 from ..obs.counters import RunCounters
 from ..obs.hooks import begin_run
 from ..routing.table import CandidateRows, CsrTable
@@ -174,8 +175,7 @@ def _channel_lookup(sim):
         np.asarray(sim.ch_src, dtype=np.int64)[cids] * n_sw
         + np.asarray(sim.ch_dst, dtype=np.int64)[cids]
     )
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    order, keys = stable_order(keys)
     ids = cids[order].astype(np.int32)
 
     def lookup(src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -20,8 +20,10 @@ from repro.faults.updown_survival import (
     updown_fault_tolerance,
     updown_trial,
 )
-from repro.topologies.base import DirectNetwork, Link
+from repro.topologies.base import DirectNetwork, FoldedClos, Link
+from repro.topologies.fattree import commodity_fat_tree
 from repro.topologies.packed import PackedFoldedClos
+from repro.topologies.rrn import random_regular_network
 
 
 class TestUnionFind:
@@ -117,6 +119,79 @@ class TestDisconnection:
         rfc = disconnection_fraction(rfc_medium, trials=8, rng=4)
         assert 0.1 < cft.mean_fraction < 0.8
         assert 0.1 < rfc.mean_fraction < 0.8
+
+
+def _binary_search_trial(network, rng, scope):
+    """Table 3 by binary search: a fresh union-find per probe."""
+    pairs = shuffled_links(network, rng=rng).pairs.tolist()
+    n = network.num_switches
+    if scope == "switches":
+        watched = None
+    elif isinstance(network, FoldedClos):
+        watched = list(range(network.num_leaves))
+    else:
+        watched = list(range(n))
+
+    def still_ok(k):
+        uf = UnionFind(n)
+        for lo, hi in pairs[k:]:
+            uf.union(lo, hi)
+        if watched is None:
+            return uf.components == 1
+        return uf.all_connected(watched)
+
+    return failure_threshold(len(pairs), still_ok)
+
+
+class TestDisconnectionSinglePass:
+    """One reverse union-find pass against the binary-search oracle."""
+
+    @pytest.fixture(scope="class")
+    def pin_networks(self):
+        return {
+            "rfc": radix_regular_rfc(8, 16, 3, rng=5),
+            "cft": commodity_fat_tree(4, 3),
+            "rrn": random_regular_network(20, 4, 2, rng=3),
+        }
+
+    @pytest.mark.parametrize("scope", ["switches", "leaves"])
+    @pytest.mark.parametrize("name", ["rfc", "cft", "rrn"])
+    def test_matches_binary_search(self, pin_networks, name, scope):
+        network = pin_networks[name]
+        for seed in range(8):
+            expected = _binary_search_trial(network, seed, scope)
+            assert disconnection_trial(network, rng=seed, scope=scope) == expected
+
+    @pytest.mark.parametrize("scope", ["switches", "leaves"])
+    def test_rng_stream_matches_binary_search(self, pin_networks, scope):
+        rand, oracle_rand = random.Random(6), random.Random(6)
+        for _ in range(4):
+            assert disconnection_trial(
+                pin_networks["rfc"], rng=rand, scope=scope
+            ) == _binary_search_trial(pin_networks["rfc"], oracle_rand, scope)
+        assert rand.getstate() == oracle_rand.getstate()
+
+    @pytest.mark.parametrize(
+        "network, scope, expected",
+        [
+            # Never connected: two separate cables.
+            (DirectNetwork([[1], [0], [3], [2]], 1), "switches", 0),
+            (DirectNetwork([[1], [0], [3], [2]], 1), "leaves", 0),
+            # Connected with no links: one switch, one watched leaf.
+            (DirectNetwork([[]], 1), "switches", 1),
+            (FoldedClos([1, 2], [[[0, 1]]], 2, 4), "leaves", 3),
+            (FoldedClos([1, 2], [[[0, 1]]], 2, 4), "switches", None),
+            # No switches: never one component, but no leaf to lose.
+            (DirectNetwork([], 1), "switches", 0),
+            (DirectNetwork([], 1), "leaves", 1),
+        ],
+    )
+    def test_edge_cases(self, network, scope, expected):
+        for seed in range(3):
+            oracle = _binary_search_trial(network, seed, scope)
+            if expected is not None:
+                assert oracle == expected
+            assert disconnection_trial(network, rng=seed, scope=scope) == oracle
 
 
 class TestUpdownSurvival:
