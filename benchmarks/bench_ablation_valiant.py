@@ -37,18 +37,3 @@ def test_valiant_randomized(benchmark):
     print(f"\nValiant pairing saturation: {accepted:.3f}")
     assert accepted < 0.6  # pays the randomization tax
 
-
-def test_jellyfish_direct_simulation(benchmark):
-    """Bonus: the RRN under the same engine (ECMP minimal routing)."""
-    from repro.topologies.rrn import random_regular_network
-
-    net = random_regular_network(64, 5, 2, rng=1)
-
-    def run():
-        traffic = make_traffic("uniform", net.num_terminals, rng=2)
-        return simulate(net, traffic, 1.0, _PARAMS)
-
-    result = benchmark.pedantic(run, rounds=2, iterations=1)
-    print(f"\nRRN uniform saturation (minimal ECMP): "
-          f"{result.accepted_load:.3f}")
-    assert result.accepted_load > 0.3

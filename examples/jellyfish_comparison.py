@@ -2,18 +2,20 @@
 """RFC vs Jellyfish (RRN): why the paper keeps the Clos structure.
 
 The paper argues the Jellyfish's raw efficiency comes with operational
-costs an RFC avoids: cyclic routes need deadlock machinery (here,
-distance-class virtual channels), minimal paths underuse the network
-(Jellyfish needs k-shortest-path routing, recomputed on every change),
-and there is exactly one expansion point where the host/network port
-split is right.  This example makes those trade-offs concrete:
+costs an RFC avoids: cyclic routes need deadlock machinery, minimal
+paths underuse the network (the Jellyfish paper routes over k shortest
+paths, recomputed on every change), and there is exactly one expansion
+point where the host/network port split is right.  This example makes
+the routing and expansion trade-offs concrete:
 
-1. build an RFC and an RRN with the same switch count and radix budget,
-2. compare path diversity (ECMP width vs k-shortest availability),
-3. simulate both under the same engine and traffics,
-4. expand both and report the rewiring + recomputation bill.
+1. build an RFC and an RRN with the same terminal count and radix,
+2. compare path diversity (up/down ECMP width vs k-shortest paths),
+3. expand both and report the rewiring + recomputation bill.
 
-Run: ``python examples/jellyfish_comparison.py``  (~1 minute)
+The packet simulator runs folded Clos networks only, as the paper's
+simulations do; the RRN side here is analysis.
+
+Run: ``python examples/jellyfish_comparison.py``  (a few seconds)
 """
 
 import random
@@ -22,10 +24,7 @@ import statistics
 from repro import expand_rrn, rfc_with_updown
 from repro.core.expansion import expand_rfc
 from repro.routing import k_shortest_paths, path_diversity_census
-from repro.simulation import SimulationParams, make_traffic, simulate
 from repro.topologies.rrn import random_regular_network
-
-PARAMS = SimulationParams(measure_cycles=1_000, warmup_cycles=300, seed=5)
 
 
 def main() -> None:
@@ -49,18 +48,6 @@ def main() -> None:
     print(f"RRN k-shortest (k=8) available paths: mean "
           f"{statistics.fmean(ks):.1f} -- needs Yen recomputation on "
           "every expansion or fault")
-
-    # Same engine, same traffics.
-    print(f"\n{'traffic':15} {'RFC sat':>8} {'RRN sat':>8}")
-    for name in ("uniform", "random-pairing", "fixed-random"):
-        tr = make_traffic(name, rfc.num_terminals, rng=7)
-        a = simulate(rfc, tr, 1.0, PARAMS).accepted_load
-        tr = make_traffic(name, rrn.num_terminals, rng=7)
-        b = simulate(rrn, tr, 1.0, PARAMS).accepted_load
-        print(f"{name:15} {a:>8.3f} {b:>8.3f}")
-    print("(RRN runs minimal ECMP + distance-class VCs; the deadlock "
-          "machinery and routing recomputation are the costs the paper "
-          "highlights)")
 
     # Expansion bill.
     _, rfc_report = expand_rfc(rfc, steps=2, rng=9)

@@ -314,8 +314,7 @@ def _arrivals(sim, hseed: int) -> tuple:
 
 
 def _valiant_vias(
-    hseed, serial, src_switch, dst_col, routable, leaf_switch, n_dests,
-    hosts, num_terminals,
+    hseed, serial, src_col, dst_col, routable, n_dests, hosts, num_terminals,
 ) -> np.ndarray:
     """Valiant intermediate terminal per packet, ``-1`` for none.
 
@@ -337,8 +336,8 @@ def _valiant_vias(
         ).astype(np.int64)
         v_leaf = v // hosts
         ok = (
-            routable[src_switch[pending] * n_dests + v_leaf]
-            & routable[leaf_switch[v_leaf] * n_dests + dst_col[pending]]
+            routable[src_col[pending] * n_dests + v_leaf]
+            & routable[v_leaf * n_dests + dst_col[pending]]
         )
         via[pending[ok]] = v[ok]
         pending = pending[~ok]
@@ -491,8 +490,7 @@ def run_relaxed(sim) -> SimResult:
     vcs = params.virtual_channels
     buffers = params.buffer_packets
     topo = sim.topo
-    direct = sim._direct
-    valiant = params.valiant and not direct
+    valiant = params.valiant
     iterations = params.arbitration_iterations
     multi_iter = iterations > 1
     trace_limit = sim.trace_limit
@@ -541,17 +539,14 @@ def run_relaxed(sim) -> SimResult:
     unit_slots = slots.reshape(-1)  # credits of link unit ``c * vcs + w``
 
     # ---- VC classes and viability gates --------------------------------
-    # A packet's class is the VC range it may take downstream: all VCs
-    # on a folded Clos, the lower / upper half for Valiant's two
-    # phases, the hop-indexed VC on a direct network.  ``gate[k, c]``
+    # A packet's class is the VC range it may take downstream: all VCs,
+    # or the lower / upper half for Valiant's two phases.  ``gate[k, c]``
     # is the cycle from which class ``k`` may take channel ``c``: the
     # channel's busy-until time while one of the class's VCs has a
     # downstream credit, EMPTY_READY while none has.  Eject channels
     # are always open at their busy time; injection channels and the
     # padding column ``n_ch`` never open.
-    if direct:
-        ranges = [(w, w + 1) for w in range(vcs)]
-    elif valiant:
+    if valiant:
         ranges = [(0, vcs // 2), (vcs // 2, vcs)]
     else:
         ranges = [(0, vcs)]
@@ -576,29 +571,20 @@ def run_relaxed(sim) -> SimResult:
     # ---- packets as rows -----------------------------------------------
     # Row ``i`` is the ``i``-th generated packet.  Routability is static
     # during a run, so unroutable packets are known here; they never
-    # enter a queue.  ``p_col`` is the destination's key column and
-    # ``p_home`` the switch that delivers it.
+    # enter a queue.  ``p_col`` is the destination leaf: its key column
+    # and, since leaf ``i`` is flat switch ``i``, the switch that
+    # delivers it.
     a_time, a_term, a_dst, a_serial, next_serial = _arrivals(sim, hseed)
     n_pk = len(a_time)
-    if direct:
-        p_col = term_switch[a_dst]
-        p_home = p_col
-        src_switch = term_switch[a_term]
-    else:
-        hosts = topo.hosts_per_leaf
-        leaf_switch = np.array(
-            [topo.switch_id(0, i) for i in range(topo.num_leaves)],
-            dtype=np.int64,
-        )
-        p_col = a_dst // hosts
-        p_home = leaf_switch[p_col]
-        src_switch = leaf_switch[a_term // hosts]
-    p_ok = routable[src_switch * n_dests + p_col]
+    hosts = topo.hosts_per_leaf
+    p_col = a_dst // hosts
+    src_col = a_term // hosts
+    p_ok = routable[src_col * n_dests + p_col]
     p_dkey = deliver_base + a_dst  # the destination's eject row
     a_via = (
         _valiant_vias(
-            hseed, a_serial, src_switch, p_col, routable, leaf_switch,
-            n_dests, hosts, num_terminals,
+            hseed, a_serial, src_col, p_col, routable, n_dests, hosts,
+            num_terminals,
         )
         if valiant
         else np.full(n_pk, -1, dtype=np.int64)
@@ -659,27 +645,25 @@ def run_relaxed(sim) -> SimResult:
         """Make ``rows`` the heads of ``units``, ready from ``when``."""
         sw = unit_sw[units]
         col = p_col[rows]
-        deliver = sw == p_home[rows]
+        deliver = sw == col
         if valiant:
             via = p_via[rows]
             phase = via >= 0
             if phase.any():
                 v_col = via // hosts
-                done = phase & (sw == leaf_switch[v_col])
+                done = phase & (sw == v_col)
                 p_via[rows[done]] = -1  # randomization phase complete
                 phase &= ~done
                 col = np.where(phase, v_col, col)
                 deliver &= ~phase
             cls[units] = ~phase
-        elif cls is not None:
-            cls[units] = np.minimum(p_hops[rows], vcs - 1)
         key = sw * n_dests + col
         route = routable[key]
         vkey[units] = np.where(
             deliver, p_dkey[rows], np.where(route, key, blocked_row)
         )
         stuck = ~(deliver | route)
-        if not direct and stuck.any():
+        if stuck.any():
             # Cannot happen for generated traffic (injection filters by
             # the routability table); replay the reference router so
             # the same RoutingError surfaces.

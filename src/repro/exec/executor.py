@@ -34,7 +34,8 @@ from ..simulation.config import SimulationParams
 from ..simulation.engine import simulate
 from ..simulation.stats import SimResult
 from ..simulation.traffic import make_traffic
-from ..topologies.base import DirectNetwork, FoldedClos, Link
+from ..topologies.base import FoldedClos, Link
+from ..topologies.packed import PackedFoldedClos
 from .cache import ResultCache, cache_key, topology_digest
 
 __all__ = ["SimTask", "ExecReport", "Executor", "merged_metrics"]
@@ -77,7 +78,7 @@ class SimTask:
     but still warm it (the core result *is* keyed by the spec).
     """
 
-    topo: FoldedClos | DirectNetwork
+    topo: FoldedClos | PackedFoldedClos
     traffic_name: str
     load: float
     params: SimulationParams

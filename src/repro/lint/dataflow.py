@@ -117,22 +117,22 @@ class TaintEngine:
 
     def __init__(self, project: ProjectGraph) -> None:
         self.project = project
-        self._direct: dict[str, tuple[tuple[str, str, CallSite], ...]] = {}
+        self._own_hits: dict[str, tuple[tuple[str, str, CallSite], ...]] = {}
         for qualified, _summary, _fn in project.iter_functions():
             hits: list[tuple[str, str, CallSite]] = []
             for canonical, site in project.external_calls(qualified):
                 reason = classify_source(canonical)
                 if reason is not None:
                     hits.append((canonical, reason, site))
-            self._direct[qualified] = tuple(hits)
+            self._own_hits[qualified] = tuple(hits)
 
     def tainted_functions(self) -> set[str]:
         """Every function that can execute an impure source call,
         directly or through project-internal callees (fixpoint)."""
-        tainted = {q for q, hits in self._direct.items() if hits}
+        tainted = {q for q, hits in self._own_hits.items() if hits}
         # Reverse edges once, then saturate.
         callers: dict[str, set[str]] = {}
-        for qualified in self._direct:
+        for qualified in self._own_hits:
             for callee in self.project.callees(qualified):
                 callers.setdefault(callee, set()).add(qualified)
         frontier = list(tainted)
@@ -149,7 +149,7 @@ class TaintEngine:
         shortest call chain as the witness."""
         hits: list[TaintHit] = []
         for qualified in sorted(self.project.reachable([root])):
-            direct = self._direct.get(qualified, ())
+            direct = self._own_hits.get(qualified, ())
             if not direct:
                 continue
             chain = self.project.call_chain(root, qualified)

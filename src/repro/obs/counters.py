@@ -11,10 +11,9 @@ What is counted, and where:
 * ``grants[c]`` -- packets granted output channel ``c`` (link hops and
   deliveries alike);
 * ``cycle_grants[t * n_classes + k]`` -- grants at cycle ``t`` into
-  channels of class ``k``.  A link's class is its stage (``(lo, hi)``
-  levels on a folded Clos; one class on a direct network) and every
-  eject channel shares the last class, so one row holds the per-stage
-  link hops and the deliveries of a cycle;
+  channels of class ``k``.  A link's class is its stage, its ``(lo,
+  hi)`` levels, and every eject channel shares the last class, so one
+  row holds the per-stage link hops and the deliveries of a cycle;
 * ``injects[t]`` -- packets that entered a source queue at cycle ``t``;
 * ``drops`` -- packets discarded as unroutable;
 * ``arb_passes`` / ``arb_requests`` / ``arb_grants`` -- arbitration
@@ -78,24 +77,19 @@ class RunCounters:
         self.horizon = horizon
         n_ch = len(sim.ch_kind)
         n_link = sim.n_link_channels
-        level_of = getattr(sim, "level_of", None)
-        #: ``(lo, hi)`` levels of each link class; ``None`` on a direct
-        #: network, whose links form a single class.
-        self.stage_pairs: list[tuple[int, int]] | None = None
-        link_class: np.ndarray | int = 0
-        n_link_classes = 1
-        if level_of is not None:
-            levels = np.asarray(level_of, dtype=np.int64)
-            n_levels = int(levels.max()) + 1
-            pair = (
-                levels[np.asarray(sim.ch_src[:n_link])] * n_levels
-                + levels[np.asarray(sim.ch_dst[:n_link])]
-            )
-            codes, link_class = np.unique(pair, return_inverse=True)
-            self.stage_pairs = [divmod(int(c), n_levels) for c in codes]
-            n_link_classes = len(codes)
-        self.eject_class = n_link_classes
-        self.n_classes = n_link_classes + 1
+        levels = np.asarray(sim.level_of, dtype=np.int64)
+        n_levels = int(levels.max()) + 1
+        pair = (
+            levels[np.asarray(sim.ch_src[:n_link])] * n_levels
+            + levels[np.asarray(sim.ch_dst[:n_link])]
+        )
+        codes, link_class = np.unique(pair, return_inverse=True)
+        #: ``(lo, hi)`` levels of each link class.
+        self.stage_pairs: list[tuple[int, int]] = [
+            divmod(int(c), n_levels) for c in codes
+        ]
+        self.eject_class = len(codes)
+        self.n_classes = len(codes) + 1
         ch_class = np.full(n_ch, self.eject_class, dtype=np.int64)
         ch_class[:n_link] = link_class
         self.ch_class: list[int] = ch_class.tolist()

@@ -235,7 +235,7 @@ class MetricsObserver(SimObserver):
             )
             _observe_bins(reg.histogram("queue.vc_occupancy"), counters.vc_depth)
             _add_per_cycle(reg, "ts.link_phits", width, hops, phits)
-            for k, (lo, hi) in enumerate(counters.stage_pairs or ()):
+            for k, (lo, hi) in enumerate(counters.stage_pairs):
                 _add_per_cycle(
                     reg, f"ts.stage.{lo}->{hi}", width, stages[:, k], phits
                 )

@@ -12,17 +12,14 @@ from .diversity import (
     path_diversity_census,
 )
 from .shortest import (
-    all_shortest_next_hops,
     k_shortest_paths,
     shortest_path,
     shortest_path_lengths,
 )
-from .table import EcmpTableRouter
 from .updown import RoutingError, UpDownRouter
 
 __all__ = [
     "UpDownRouter",
-    "EcmpTableRouter",
     "RoutingError",
     "DiversityCensus",
     "ecmp_width_histogram",
@@ -33,6 +30,5 @@ __all__ = [
     "distance_class_dependency_graph",
     "shortest_path",
     "shortest_path_lengths",
-    "all_shortest_next_hops",
     "k_shortest_paths",
 ]

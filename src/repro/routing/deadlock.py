@@ -19,7 +19,8 @@ library so the claims can be *checked*, not assumed:
 * :func:`distance_class_dependency_graph` -- the same routing with
   distance-class virtual channels (VC = hop index): every dependency
   strictly increases the VC class, so the CDG is provably acyclic when
-  enough classes exist -- exactly what the simulator implements.
+  enough classes exist -- the machinery a simulator of cyclic direct
+  networks would need (ours runs folded Clos networks only).
 """
 
 from __future__ import annotations

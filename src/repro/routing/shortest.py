@@ -5,8 +5,8 @@ routes them over k-shortest paths, recomputed whenever the network is
 expanded or a link fails -- a cost the RFC avoids (paper Section 6).
 This module provides:
 
-* :func:`shortest_path` / :func:`all_shortest_next_hops` -- BFS-based
-  minimal routing with ECMP next-hop sets;
+* :func:`shortest_path` / :func:`shortest_path_lengths` -- BFS-based
+  minimal routes and hop counts;
 * :func:`k_shortest_paths` -- Yen's algorithm over unit-weight graphs,
   returning simple paths in non-decreasing length order.
 """
@@ -20,7 +20,6 @@ from typing import Sequence
 __all__ = [
     "shortest_path",
     "shortest_path_lengths",
-    "all_shortest_next_hops",
     "k_shortest_paths",
 ]
 
@@ -62,25 +61,6 @@ def shortest_path(
                     return path[::-1]
                 queue.append(v)
     return None
-
-
-def all_shortest_next_hops(
-    adjacency: Sequence[Sequence[int]], target: int
-) -> list[list[int]]:
-    """ECMP table toward ``target``: next hops on some shortest path.
-
-    ``result[u]`` lists the neighbors of ``u`` that are one hop closer
-    to ``target`` (empty at ``target`` itself and on unreachable
-    vertices).
-    """
-    dist = shortest_path_lengths(adjacency, target)
-    table: list[list[int]] = []
-    for u, nbrs in enumerate(adjacency):
-        if u == target or dist[u] < 0:
-            table.append([])
-            continue
-        table.append([v for v in nbrs if dist[v] == dist[u] - 1])
-    return table
 
 
 def k_shortest_paths(

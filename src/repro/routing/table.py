@@ -1,18 +1,12 @@
-"""ECMP table routing for direct networks (the Jellyfish side).
+"""Flat candidate tables for the simulator's fast engines.
 
-Direct networks have no up/down structure, so the simulator routes
-them with per-destination ECMP tables: for destination switch ``d``,
-``next_hops(s, d)`` lists every neighbor of ``s`` that is one hop
-closer to ``d`` on some shortest path.  Tables are built lazily (one
-BFS per destination actually used) and cached.
-
-Deadlock: minimal routing on a cyclic direct network can deadlock
-under virtual cut-through.  The simulator therefore pairs this router
-with *distance-class* virtual channels -- a packet on its ``h``-th hop
-uses VC ``h`` -- which breaks every channel-dependency cycle as long
-as the VC count covers the longest route (true for the paper's
-diameter-3/4 RRNs with 4 VCs).  This is exactly the complexity tax the
-paper notes that Jellyfish pays and folded Clos topologies avoid.
+:class:`CsrTable` holds every (source, destination) pair's routing
+answer -- its candidate list plus a DELIVER / UNROUTABLE flag -- in a
+few flat numpy arrays; :mod:`repro.simulation.fastpath` builds one per
+run from the up/down router, and the exact and relaxed engines read it
+instead of calling the router per hop.  :class:`CandidateRows` lists
+a table's rows as Python lists on first read, for the exact engine's
+scalar hot loop.
 """
 
 from __future__ import annotations
@@ -21,10 +15,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..topologies.base import DirectNetwork
-from .shortest import all_shortest_next_hops, shortest_path_lengths
-
-__all__ = ["CandidateRows", "CsrTable", "EcmpTableRouter"]
+__all__ = ["CandidateRows", "CsrTable"]
 
 
 class CsrTable:
@@ -111,12 +102,6 @@ class CsrTable:
         key = self.key(source, dest)
         return self.values[self.offsets[key]:self.offsets[key + 1]]
 
-    def source_of_value(self) -> np.ndarray:
-        """Source id of every ``values`` entry (CSR row expansion)."""
-        counts = np.diff(self.offsets)
-        keys = np.repeat(np.arange(len(self.flags)), counts)
-        return keys // self.num_dests
-
 
 class CandidateRows(dict):
     """Per-key candidate lists of a :class:`CsrTable`, built on first read.
@@ -150,79 +135,3 @@ class CandidateRows(dict):
             ].tolist()
         self[key] = row
         return row
-
-
-class EcmpTableRouter:
-    """Per-destination shortest-path ECMP tables over a direct network."""
-
-    def __init__(self, adjacency: list[list[int]]) -> None:
-        self._adj = adjacency
-        self._tables: dict[int, list[list[int]]] = {}
-        self._dist: dict[int, list[int]] = {}
-
-    @classmethod
-    def for_network(cls, network: DirectNetwork) -> "EcmpTableRouter":
-        return cls(network.adjacency())
-
-    def _table(self, dest: int) -> list[list[int]]:
-        table = self._tables.get(dest)
-        if table is None:
-            table = all_shortest_next_hops(self._adj, dest)
-            self._tables[dest] = table
-            self._dist[dest] = shortest_path_lengths(self._adj, dest)
-        return table
-
-    def next_hops(self, switch: int, dest: int) -> list[int]:
-        """Neighbors of ``switch`` on a shortest path toward ``dest``.
-
-        Empty when ``switch == dest`` (deliver locally) or when the
-        destination is unreachable.
-        """
-        if switch == dest:
-            return []
-        return self._table(dest)[switch]
-
-    def reachable(self, switch: int, dest: int) -> bool:
-        if switch == dest:
-            return True
-        self._table(dest)
-        return self._dist[dest][switch] >= 0
-
-    def distance(self, switch: int, dest: int) -> int:
-        """Shortest hop count (-1 when unreachable)."""
-        if switch == dest:
-            return 0
-        self._table(dest)
-        return self._dist[dest][switch]
-
-    def csr_table(self) -> CsrTable:
-        """All ECMP tables flattened into one :class:`CsrTable`.
-
-        Values are next-hop *switch ids*; the simulator's fast path
-        maps them onto output channel ids.  Building this forces every
-        per-destination BFS the lazy tables would otherwise spread
-        over the run.
-        """
-        n = len(self._adj)
-
-        def entry(source: int, dest: int) -> tuple[int, list[int]]:
-            if source == dest:
-                return CsrTable.DELIVER, []
-            hops = self._table(dest)[source]
-            if self._dist[dest][source] < 0:
-                return CsrTable.UNROUTABLE, []
-            return CsrTable.ROUTE, list(hops)
-
-        return CsrTable.build(n, n, entry)
-
-    def max_route_length(self, dests: list[int] | None = None) -> int:
-        """Longest shortest-path over the cached (or given) tables.
-
-        Used by the simulator to check the distance-class VC budget.
-        """
-        dests = dests if dests is not None else list(self._tables)
-        worst = 0
-        for dest in dests:
-            self._table(dest)
-            worst = max(worst, max(self._dist[dest], default=0))
-        return worst

@@ -41,9 +41,9 @@ import numpy as np
 
 from ..obs.counters import RunCounters
 from ..obs.hooks import SimObserver, begin_run
-from ..routing.table import EcmpTableRouter
 from ..routing.updown import UpDownRouter
-from ..topologies.base import DirectNetwork, FoldedClos, Link
+from ..topologies.base import FoldedClos, Link
+from ..topologies.packed import PackedFoldedClos
 from .config import SimulationParams
 from .packet import Packet
 from .stats import SimResult, SimStats
@@ -60,7 +60,10 @@ _EV_ARB, _EV_CREDIT, _EV_GEN = 0, 1, 2
 class Simulator:
     """One simulation instance: topology + traffic + parameters.
 
-    Build once, call :meth:`run` once.  ``removed_links`` prunes cables
+    Build once, call :meth:`run` once.  ``topo`` must be a
+    :class:`~repro.topologies.base.FoldedClos` or a
+    :class:`~repro.topologies.packed.PackedFoldedClos`; any other
+    topology raises :class:`ValueError`.  ``removed_links`` prunes cables
     (both directions) before the run; routing tables are computed on
     the pruned network, and packets whose pair has lost every up/down
     route are dropped and counted in :attr:`unroutable_packets`.  A
@@ -103,7 +106,7 @@ class Simulator:
 
     def __init__(
         self,
-        topo: FoldedClos | DirectNetwork,
+        topo: FoldedClos | PackedFoldedClos,
         traffic: TrafficPattern,
         load: float,
         params: SimulationParams | None = None,
@@ -111,6 +114,11 @@ class Simulator:
         trace_limit: int = 0,
         observer: SimObserver | None = None,
     ) -> None:
+        if not isinstance(topo, (FoldedClos, PackedFoldedClos)):
+            raise ValueError(
+                "the simulator runs folded Clos networks only (FoldedClos "
+                f"or PackedFoldedClos), got {type(topo).__name__}"
+            )
         if traffic.num_terminals != topo.num_terminals:
             raise ValueError(
                 f"traffic has {traffic.num_terminals} terminals, topology "
@@ -126,7 +134,6 @@ class Simulator:
         self.unroutable_packets = 0
         self.observer = observer
         self.run_counters: RunCounters | None = None
-        self._direct = isinstance(topo, DirectNetwork)
         # Packet tracing: hop logs for the first `trace_limit` packets.
         self.trace_limit = trace_limit
         self.traces: dict[int, list[tuple[int, str, int]]] = {}
@@ -134,32 +141,12 @@ class Simulator:
 
         removed_order = list(removed_links or ())
         pairs = self._surviving_links(removed_order)
-        removed = set(removed_order)
-        if self._direct:
-            self._build_direct_router(removed)
-        else:
-            self._build_router(removed)
+        self._build_router(set(removed_order))
         self._build_channels(pairs)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build_direct_router(self, removed: set[Link]) -> None:
-        """ECMP tables over the pruned direct network.
-
-        Direct networks use distance-class virtual channels (packet's
-        ``h``-th hop rides VC ``h``) for deadlock freedom; the VC
-        budget is validated against the diameter during grants.
-        """
-        assert isinstance(self.topo, DirectNetwork)
-        adjacency = self.topo.adjacency()
-        if removed:
-            adjacency = [
-                [v for v in nbrs if Link(u, v) not in removed]
-                for u, nbrs in enumerate(adjacency)
-            ]
-        self.direct_router = EcmpTableRouter(adjacency)
-
     def _build_router(self, removed: set[Link]) -> None:
         topo = self.topo
         stages: list[list[list[int]]] = []
@@ -219,11 +206,7 @@ class Simulator:
         topo = self.topo
         n_link = 2 * len(pairs)
         n_term = topo.num_terminals
-        if isinstance(topo, DirectNetwork):
-            hosts = topo.hosts_per_switch
-        else:
-            hosts = topo.hosts_per_leaf
-        leaves = np.arange(n_term) // hosts
+        leaves = np.arange(n_term) // topo.hosts_per_leaf
 
         src = np.empty(n_link + 2 * n_term, dtype=np.int64)
         dst = np.empty_like(src)
@@ -252,19 +235,18 @@ class Simulator:
         #: into :attr:`ch_queues` / :attr:`ch_slots` when they are built.
         self._buffer_fill: Callable[[list, list], None] | None = None
 
-        # Flat-id decomposition caches for folded Clos routing.
-        if not self._direct:
-            self.level_offsets = [
-                topo.switch_id(level, 0) for level in range(topo.num_levels)
-            ]
-            n_sw = topo.num_switches
-            self.level_of = [0] * n_sw
-            self.index_of = [0] * n_sw
-            for level, (first, size) in enumerate(
-                zip(self.level_offsets, topo.level_sizes)
-            ):
-                self.level_of[first : first + size] = [level] * size
-                self.index_of[first : first + size] = range(size)
+        # Flat-id decomposition caches for up/down routing.
+        self.level_offsets = [
+            topo.switch_id(level, 0) for level in range(topo.num_levels)
+        ]
+        n_sw = topo.num_switches
+        self.level_of = [0] * n_sw
+        self.index_of = [0] * n_sw
+        for level, (first, size) in enumerate(
+            zip(self.level_offsets, topo.level_sizes)
+        ):
+            self.level_of[first : first + size] = [level] * size
+            self.index_of[first : first + size] = range(size)
 
     def __getattr__(self, name: str):
         """Build a lazily held attribute (:attr:`_LAZY_STATE`) on its
@@ -345,18 +327,12 @@ class Simulator:
     def _vc_class(self, packet: Packet) -> tuple[int, int]:
         """Half-open VC index range the packet may occupy downstream.
 
-        * direct networks: distance-class VC ``hops`` (deadlock
-          avoidance on cyclic graphs);
-        * folded Clos with Valiant: lower half during the
-          randomization phase, upper half afterwards (each phase's
-          up/down sub-route is acyclic; the class jump orders the
-          phases);
-        * plain folded Clos: all VCs (up/down needs none).
+        * Valiant: lower half during the randomization phase, upper
+          half afterwards (each phase's up/down sub-route is acyclic;
+          the class jump orders the phases);
+        * otherwise all VCs (up/down needs none).
         """
         vcs = self.params.virtual_channels
-        if self._direct:
-            w = min(packet.hops, vcs - 1)
-            return w, w + 1
         if self.params.valiant:
             half = vcs // 2
             return (0, half) if packet.via is not None else (half, vcs)
@@ -371,14 +347,6 @@ class Simulator:
         Empty list means the packet must wait (all candidate ports busy
         or out of credit).
         """
-        if self._direct:
-            dst_switch = self.topo.terminal_switch(packet.dst)
-            if switch == dst_switch:
-                return [self.eject_channel[packet.dst]]
-            return [
-                self.link_channel[(switch, t)]
-                for t in self.direct_router.next_hops(switch, dst_switch)
-            ]
         level = self.level_of[switch]
         index = self.index_of[switch]
         if packet.via is not None:
@@ -547,12 +515,10 @@ class Simulator:
     def stage_utilization(self) -> dict[str, float]:
         """Mean link utilization per inter-level stage and direction.
 
-        Folded Clos only.  Keys look like ``"0->1 up"`` / ``"1->0
-        down"``; useful for spotting which stage saturates first (on an
-        RFC under uniform traffic the stages should load evenly).
+        Keys look like ``"0->1 up"`` / ``"1->0 down"``; useful for
+        spotting which stage saturates first (on an RFC under uniform
+        traffic the stages should load evenly).
         """
-        if self._direct:
-            raise ValueError("stage utilization needs a folded Clos")
         window = self.params.measure_cycles
         sums: dict[str, float] = {}
         counts: dict[str, int] = {}
@@ -672,23 +638,10 @@ class Simulator:
         if packet.serial < self.trace_limit:
             self.traces[packet.serial] = [(time, "generate", terminal)]
         self._stats.on_generated(time)
-        if self.params.valiant and not self._direct:
+        if self.params.valiant:
             self._assign_valiant_via(packet)
-        if self._direct:
-            unroutable = not self.direct_router.reachable(
-                self.topo.terminal_switch(terminal),
-                self.topo.terminal_switch(dst),
-            )
-        else:
-            unroutable = (
-                self.router.min_ascent(
-                    0,
-                    terminal // self.topo.hosts_per_leaf,
-                    dst // self.topo.hosts_per_leaf,
-                )
-                < 0
-            )
-        if unroutable:
+        hosts = self.topo.hosts_per_leaf
+        if self.router.min_ascent(0, terminal // hosts, dst // hosts) < 0:
             self.unroutable_packets += 1
             if self._counters is not None:
                 self._counters.drops += 1
@@ -934,7 +887,7 @@ class Simulator:
 
 
 def simulate(
-    topo: FoldedClos | DirectNetwork,
+    topo: FoldedClos | PackedFoldedClos,
     traffic: TrafficPattern,
     load: float,
     params: SimulationParams | None = None,

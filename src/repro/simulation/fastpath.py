@@ -17,7 +17,7 @@ reference engine:
   lookup (:class:`~repro.routing.table.CandidateRows` lists a key's
   row the first time it is read) instead of a router call per hop --
   and, crucially, per *blocked* hop re-evaluation, which the
-  arbitration loop performs every cycle a packet waits.  On folded Clos networks the table is
+  arbitration loop performs every cycle a packet waits.  The table is
   derived with numpy from the router's packed ``U_j`` reach masks, a
   few whole-array passes per level instead of a router call per
   (switch, leaf) key (see :func:`_folded_clos_table`).
@@ -128,34 +128,20 @@ class EventWheel:
 def build_candidate_table(sim) -> CsrTable:
     """Flatten ``sim``'s routing into a channel-id :class:`CsrTable`.
 
-    Keys are ``switch * num_dests + dest`` where ``dest`` is a
-    destination *leaf* on folded Clos networks and a destination
-    *switch* on direct ones.  Values are viable output channel ids in
-    exactly the order :meth:`Simulator._output_candidates` would build
-    them, so downstream ``rng.choice`` calls see identical sequences.
+    Keys are ``switch * num_dests + leaf`` for a destination leaf.
+    Values are viable output channel ids in exactly the order
+    :meth:`Simulator._output_candidates` would build them, so
+    downstream ``rng.choice`` calls see identical sequences.
 
-    Folded Clos tables are derived with array operations from the
-    router's packed ``U_j`` masks (:func:`_folded_clos_table`); direct
-    tables map the ECMP router's next-hop switches onto channels.  Both
-    resolve ``(src, dst)`` switch pairs to channel ids through
-    :func:`_channel_lookup`.  The table is cached on the simulator
-    instance.
+    The table is derived with array operations from the router's
+    packed ``U_j`` masks (:func:`_folded_clos_table`), resolving
+    ``(src, dst)`` switch pairs to channel ids through
+    :func:`_channel_lookup`.  It is cached on the simulator instance.
     """
     table = getattr(sim, "_fast_table", None)
     if table is not None:
         return table
-    lookup = _channel_lookup(sim)
-    if sim._direct:
-        router_csr = sim.direct_router.csr_table()
-        table = CsrTable(
-            router_csr.num_sources,
-            router_csr.num_dests,
-            router_csr.offsets,
-            lookup(router_csr.source_of_value(), router_csr.values),
-            router_csr.flags,
-        )
-    else:
-        table = _folded_clos_table(sim, lookup)
+    table = _folded_clos_table(sim, _channel_lookup(sim))
     sim._fast_table = table
     return table
 
@@ -365,8 +351,7 @@ def run_fast(sim) -> SimResult:
     rate = sim.load / phits  # packets / terminal / cycle
     topo = sim.topo
     traffic = sim.traffic
-    direct = sim._direct
-    valiant = params.valiant and not direct
+    valiant = params.valiant
     iterations = params.arbitration_iterations
     adaptive = params.up_selection == "adaptive"
     rotating = params.arbiter == "rotating"
@@ -380,9 +365,8 @@ def run_fast(sim) -> SimResult:
     cand_lists = CandidateRows(table)
     n_dests = table.num_dests
     # A (source switch, dest) pair is routable unless flagged; replaces
-    # the reference's per-packet min_ascent / reachable() injection
-    # checks with one byte index (identical truth table by
-    # construction of the flags).
+    # the reference's per-packet min_ascent injection checks with one
+    # byte index (identical truth table by construction of the flags).
     routable = (table.flags != CsrTable.UNROUTABLE).tobytes()
 
     ch_src = sim.ch_src
@@ -407,25 +391,14 @@ def run_fast(sim) -> SimResult:
         for row in sim.in_units
     ]
 
-    if direct:
-        dest_switch = [
-            topo.terminal_switch(t) for t in range(num_terminals)
-        ]
-        hosts = 0
-        leaf_switch: list[int] = []
-        dest_leaf: list[int] = []
-        vcs_cap = vcs - 1
-    else:
-        hosts = topo.hosts_per_leaf
-        leaf_switch = [topo.switch_id(0, i) for i in range(topo.num_leaves)]
-        dest_leaf = [t // hosts for t in range(num_terminals)]
-        dest_switch = []
-        vcs_cap = 0
+    # Leaf ``i`` is flat switch ``i`` (leaves come first in switch-id
+    # order), so a leaf index doubles as its switch id below.
+    hosts = topo.hosts_per_leaf
+    leaf_of = [t // hosts for t in range(num_terminals)]
     half = vcs // 2
     # VC-class ranges, built once (the reference builds a range object
     # per candidate per scan): full for plain folded Clos, halves for
-    # the two Valiant phases.  Direct networks use a width-1 class
-    # checked as a single index instead.
+    # the two Valiant phases.
     full_range = range(vcs)
     lo_range = range(0, half)
     hi_range = range(half, vcs)
@@ -437,10 +410,6 @@ def run_fast(sim) -> SimResult:
     # tuples; the encoding is injective so the dedup set is the same).
     n_sw = len(units)
     arb_marks: set[int] = set()
-    # Reference-loop state mirrors (kept for debugging parity).
-    sim._heap = []
-    sim._seq = 0
-    sim._arb_marks = arb_marks
     arb_pointers: dict[int, int] | None = None
     choice = rng.choice
     next_serial = sim._next_serial
@@ -542,7 +511,7 @@ def run_fast(sim) -> SimResult:
                         via = packet.via
                         if via is not None:
                             via_leaf = via // hosts
-                            if switch == leaf_switch[via_leaf]:
+                            if switch == via_leaf:
                                 packet.via = None
                                 via = None
                             else:
@@ -550,23 +519,11 @@ def run_fast(sim) -> SimResult:
                                     switch * n_dests + via_leaf
                                 ]
                         if via is None:
-                            dst = packet.dst
-                            if direct:
-                                dsw = dest_switch[dst]
-                                if switch == dsw:
-                                    deliver = True
-                                else:
-                                    cands = cand_lists[
-                                        switch * n_dests + dsw
-                                    ]
+                            dleaf = leaf_of[packet.dst]
+                            if switch == dleaf:
+                                deliver = True
                             else:
-                                dleaf = dest_leaf[dst]
-                                if switch == leaf_switch[dleaf]:
-                                    deliver = True
-                                else:
-                                    cands = cand_lists[
-                                        switch * n_dests + dleaf
-                                    ]
+                                cands = cand_lists[switch * n_dests + dleaf]
                         if deliver:
                             # Single eject candidate: busy test only
                             # (eject channels have no VC slots), no
@@ -577,59 +534,36 @@ def run_fast(sim) -> SimResult:
                         else:
                             if cands is None:
                                 # Unroutable pair: replay the
-                                # reference router so folded Clos
-                                # raises the identical RoutingError
-                                # (direct networks return [] and the
-                                # packet simply waits).
+                                # reference router so it raises the
+                                # identical RoutingError.
                                 cands = sim._output_candidates(
                                     switch, packet
                                 )
                             # ---- mirrors _vc_class (prebuilt VC
-                            # ranges; direct = width-1 class) ----
-                            if direct:
-                                h = packet.hops
-                                w0 = h if h < vcs_cap else vcs_cap
-                                viable = [
-                                    out
-                                    for out in cands
-                                    if ch_busy[out] <= t
-                                    and ch_slots[out][w0] > 0
-                                ]
-                                vc_range = None
+                            # ranges) ----
+                            if valiant:
+                                vc_range = (
+                                    lo_range if via is not None else hi_range
+                                )
                             else:
-                                if valiant:
-                                    vc_range = (
-                                        lo_range
-                                        if via is not None
-                                        else hi_range
-                                    )
-                                else:
-                                    vc_range = full_range
-                                viable = []
-                                for out in cands:
-                                    if ch_busy[out] > t:
-                                        continue
-                                    slots = ch_slots[out]
-                                    for w in vc_range:
-                                        if slots[w] > 0:
-                                            viable.append(out)
-                                            break
+                                vc_range = full_range
+                            viable = []
+                            for out in cands:
+                                if ch_busy[out] > t:
+                                    continue
+                                slots = ch_slots[out]
+                                for w in vc_range:
+                                    if slots[w] > 0:
+                                        viable.append(out)
+                                        break
                             if not viable:
                                 continue
                             if len(viable) == 1:
                                 out = viable[0]
                             elif adaptive:
-                                if vc_range is None:
-                                    out = sim._most_credited(
-                                        viable, w0, w0 + 1, rng
-                                    )
-                                else:
-                                    out = sim._most_credited(
-                                        viable,
-                                        vc_range.start,
-                                        vc_range.stop,
-                                        rng,
-                                    )
+                                out = sim._most_credited(
+                                    viable, vc_range.start, vc_range.stop, rng
+                                )
                             else:
                                 out = choice(viable)
                         lst = requests.get(out)
@@ -716,13 +650,7 @@ def run_fast(sim) -> SimResult:
                             slots = ch_slots[out]
                             # ---- mirrors _vc_class (again, as the
                             # reference _grant recomputes it) ----
-                            if direct:
-                                h = packet.hops
-                                w0 = h if h < vcs_cap else vcs_cap
-                                free_vcs = (
-                                    [w0] if slots[w0] > 0 else []
-                                )
-                            elif valiant:
+                            if valiant:
                                 vcr = (
                                     lo_range
                                     if packet.via is not None
@@ -834,35 +762,22 @@ def run_fast(sim) -> SimResult:
                         stats.generated_packets += 1
                         if serial < trace_limit:
                             traces[serial] = [(t, "generate", terminal)]
+                        src_leaf = leaf_of[terminal]
                         if valiant:
-                            src_leaf_switch = leaf_switch[terminal // hosts]
                             for _ in range(8):
                                 via = rng.randrange(num_terminals)
                                 via_leaf = via // hosts
                                 if (
-                                    routable[
-                                        src_leaf_switch * n_dests + via_leaf
-                                    ]
+                                    routable[src_leaf * n_dests + via_leaf]
                                     and routable[
-                                        leaf_switch[via_leaf] * n_dests
-                                        + dest_leaf[dst]
+                                        via_leaf * n_dests + leaf_of[dst]
                                     ]
                                 ):
                                     packet.via = via
                                     break
                             else:
                                 packet.via = None
-                        if direct:
-                            ok = routable[
-                                dest_switch[terminal] * n_dests
-                                + dest_switch[dst]
-                            ]
-                        else:
-                            ok = routable[
-                                leaf_switch[terminal // hosts] * n_dests
-                                + dest_leaf[dst]
-                            ]
-                        if not ok:
+                        if not routable[src_leaf * n_dests + leaf_of[dst]]:
                             sim.unroutable_packets += 1
                             if on_drop is not None:
                                 on_drop(t, terminal, packet)
@@ -906,35 +821,21 @@ def run_fast(sim) -> SimResult:
                 stats.generated_packets += 1
                 if packet.serial < trace_limit:
                     traces[packet.serial] = [(t, "generate", terminal)]
+                src_leaf = leaf_of[terminal]
                 if valiant:
                     # ---- mirrors _assign_valiant_via ----
-                    src_leaf_switch = leaf_switch[terminal // hosts]
                     for _ in range(8):
                         via = rng.randrange(num_terminals)
                         via_leaf = via // hosts
                         if (
-                            routable[
-                                src_leaf_switch * n_dests + via_leaf
-                            ]
-                            and routable[
-                                leaf_switch[via_leaf] * n_dests
-                                + dest_leaf[dst]
-                            ]
+                            routable[src_leaf * n_dests + via_leaf]
+                            and routable[via_leaf * n_dests + leaf_of[dst]]
                         ):
                             packet.via = via
                             break
                     else:
                         packet.via = None
-                if direct:
-                    ok = routable[
-                        dest_switch[terminal] * n_dests + dest_switch[dst]
-                    ]
-                else:
-                    ok = routable[
-                        leaf_switch[terminal // hosts] * n_dests
-                        + dest_leaf[dst]
-                    ]
-                if not ok:
+                if not routable[src_leaf * n_dests + leaf_of[dst]]:
                     sim.unroutable_packets += 1
                     if on_drop is not None:
                         on_drop(t, terminal, packet)

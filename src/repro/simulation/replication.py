@@ -20,7 +20,8 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..topologies.base import DirectNetwork, FoldedClos
+from ..topologies.base import FoldedClos
+from ..topologies.packed import PackedFoldedClos
 from .config import SimulationParams
 from .stats import SimResult, pooled_latency_percentile
 
@@ -125,7 +126,7 @@ def aggregate_replications(
 
 
 def replicated_point(
-    topo: FoldedClos | DirectNetwork,
+    topo: FoldedClos | PackedFoldedClos,
     traffic_name: str,
     load: float,
     params: SimulationParams | None = None,

@@ -13,7 +13,7 @@ Two families of topologies appear in the paper:
   set of switches, each hosting a fixed number of terminals.
 
 Both expose a common link/switch numbering so that the routing,
-fault-injection and simulation layers can treat them uniformly:
+fault-injection and analysis layers can treat them uniformly:
 
 * switches carry *flat ids* ``0 .. num_switches - 1``;
 * links are undirected pairs of flat switch ids, enumerated in a stable

@@ -2,8 +2,7 @@
 
 * **Layout** -- channel ids, endpoints, the ``(src, dst) -> channel``
   map, per-switch input units and the terminal channels of a
-  link-faulted RFC and of a direct RRN equal
-  ``tests/data/golden_channel_layout.json``, recorded from the
+  link-faulted RFC equal ``tests/data/golden_channel_layout.json``, recorded from the
   one-channel-at-a-time builder that preceded the bulk one.  Every
   engine's RNG stream walks these ids, so any drift here moves results.
 * **Footprint** -- every FIFO is its own plain list, built on first
@@ -26,7 +25,6 @@ from repro.simulation.engine import Simulator
 from repro.simulation.traffic import UniformTraffic
 from repro.topologies.base import Link
 from repro.topologies.packed import packed_radix_regular_rfc
-from repro.topologies.rrn import random_regular_network
 
 GOLDEN = Path(__file__).parent / "data" / "golden_channel_layout.json"
 
@@ -41,14 +39,10 @@ def _sim(topo, removed=None, params=None):
 def _golden_sims():
     params = SimulationParams(virtual_channels=2)
     topo, _ = rfc_with_updown(4, 8, 3, rng=3)
-    rrn = random_regular_network(12, 3, 2, rng=4)
-    return {
-        "faulted_rfc": _sim(topo, topo.links()[1::5], params),
-        "direct_rrn": _sim(rrn, params=params),
-    }
+    return {"faulted_rfc": _sim(topo, topo.links()[1::5], params)}
 
 
-@pytest.mark.parametrize("network", ["faulted_rfc", "direct_rrn"])
+@pytest.mark.parametrize("network", ["faulted_rfc"])
 def test_channel_layout_matches_golden(network):
     expected = json.loads(GOLDEN.read_text())[network]
     sim = _golden_sims()[network]
@@ -120,14 +114,12 @@ def _foreign_links(topo):
     return [unconnected, Link(0, 10**6)]
 
 
-@pytest.mark.parametrize("network", ["folded", "packed", "direct"])
+@pytest.mark.parametrize("network", ["folded", "packed"])
 def test_foreign_removed_link_raises(network):
     if network == "folded":
         topo, _ = rfc_with_updown(8, 16, 3, rng=7)
-    elif network == "packed":
-        topo = packed_radix_regular_rfc(8, 16, 3, rng=7)
     else:
-        topo = random_regular_network(12, 3, 2, rng=4)
+        topo = packed_radix_regular_rfc(8, 16, 3, rng=7)
     valid = topo.links()[:2]
     for foreign in _foreign_links(topo):
         message = re.escape(f"holds {foreign!r}, not a link")
@@ -139,12 +131,12 @@ def test_foreign_removed_link_raises(network):
         _sim(topo, [second, valid[0], first])
 
 
-@pytest.mark.parametrize("network", ["folded", "direct"])
+@pytest.mark.parametrize("network", ["folded", "packed"])
 def test_valid_removed_links_prune_both_directions(network):
     if network == "folded":
         topo, _ = rfc_with_updown(8, 16, 3, rng=7)
     else:
-        topo = random_regular_network(12, 3, 2, rng=4)
+        topo = packed_radix_regular_rfc(8, 16, 3, rng=7)
     removed = topo.links()[::4]
     # Duplicates and reversed construction name the same cable.
     sim = _sim(topo, [*removed, Link(removed[0].hi, removed[0].lo)])

@@ -14,6 +14,7 @@ from repro.routing.deadlock import (
     minimal_ecmp_dependency_graph,
     updown_dependency_graph,
 )
+from repro.routing.shortest import shortest_path_lengths
 from repro.topologies.base import DirectNetwork
 
 
@@ -89,11 +90,9 @@ class TestDirectNetworksCyclic:
 
 class TestDistanceClassVCs:
     def test_enough_classes_break_cycles(self, rrn_16):
-        from repro.routing.table import EcmpTableRouter
-
-        longest = EcmpTableRouter.for_network(rrn_16).max_route_length(
-            list(range(rrn_16.num_switches))
-        )
+        adj = rrn_16.adjacency()
+        n = rrn_16.num_switches
+        longest = max(max(shortest_path_lengths(adj, d)) for d in range(n))
         graph = distance_class_dependency_graph(rrn_16, longest + 1)
         assert not has_cycle(graph)
 

@@ -1,8 +1,9 @@
-"""Engine option-interaction coverage (valiant x direct, iterations,
-arbiter x adaptive)."""
+"""Engine option-interaction coverage (folded Clos only, Valiant,
+iterations, arbiter x adaptive)."""
 
 import pytest
 
+from repro.core.rfc import rfc_with_updown
 from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator, simulate
 from repro.simulation.traffic import make_traffic
@@ -10,12 +11,55 @@ from repro.simulation.traffic import make_traffic
 FAST = SimulationParams(measure_cycles=400, warmup_cycles=120, seed=5)
 
 
-class TestValiantOnDirect:
-    def test_valiant_flag_ignored_on_direct(self, rrn_16):
-        """Valiant is a folded Clos mechanism; direct runs ignore it."""
+class TestFoldedClosOnly:
+    @pytest.mark.parametrize("rng_mode", ["exact", "relaxed"])
+    def test_direct_network_rejected(self, rrn_16, rng_mode):
+        """The simulator runs what the paper simulates: folded Clos
+        networks.  A direct network is refused before any set-up."""
+        params = FAST.scaled(rng_mode=rng_mode)
         traffic = make_traffic("uniform", rrn_16.num_terminals, rng=1)
-        result = simulate(rrn_16, traffic, 0.3, FAST.scaled(valiant=True))
-        assert result.accepted_load == pytest.approx(0.3, abs=0.08)
+        for run in (Simulator, simulate):
+            with pytest.raises(ValueError) as excinfo:
+                run(rrn_16, traffic, 0.3, params)
+            message = str(excinfo.value)
+            assert "FoldedClos" in message
+            assert "PackedFoldedClos" in message
+
+
+VALIANT = SimulationParams(measure_cycles=600, warmup_cycles=200, seed=2)
+
+
+class TestValiant:
+    def test_validation_needs_two_vcs(self):
+        with pytest.raises(ValueError):
+            SimulationParams(valiant=True, virtual_channels=1)
+
+    def test_valiant_doubles_hops(self):
+        topo, _ = rfc_with_updown(8, 24, 3, rng=6)
+        traffic = make_traffic("random-pairing", topo.num_terminals, rng=7)
+        minimal = simulate(topo, traffic, 0.3, VALIANT)
+        traffic = make_traffic("random-pairing", topo.num_terminals, rng=7)
+        valiant = simulate(topo, traffic, 0.3, VALIANT.scaled(valiant=True))
+        assert valiant.avg_hops > 1.5 * minimal.avg_hops
+
+    def test_paper_claim_minimal_beats_valiant_on_pairing(self):
+        """Section 3: RFCs route adversarial traffic well above the 50%
+        Valiant ceiling *without* randomization."""
+        topo, _ = rfc_with_updown(8, 32, 3, rng=8)
+        traffic = make_traffic("random-pairing", topo.num_terminals, rng=9)
+        minimal = simulate(topo, traffic, 1.0, VALIANT)
+        traffic = make_traffic("random-pairing", topo.num_terminals, rng=9)
+        valiant = simulate(topo, traffic, 1.0, VALIANT.scaled(valiant=True))
+        assert minimal.accepted_load > 0.5
+        assert minimal.accepted_load > valiant.accepted_load
+
+    def test_valiant_still_delivers_everything_routable(self):
+        topo, _ = rfc_with_updown(8, 24, 3, rng=10)
+        traffic = make_traffic("uniform", topo.num_terminals, rng=11)
+        sim = Simulator(topo, traffic, 0.2, VALIANT.scaled(valiant=True))
+        result = sim.run()
+        assert sim.unroutable_packets == 0
+        assert result.accepted_load == pytest.approx(0.2, abs=0.06)
 
 
 class TestIterationInteractions:

@@ -9,13 +9,13 @@
 2. CSR candidate tables from
    :func:`~repro.simulation.fastpath.build_candidate_table` agree with
    :meth:`Simulator._output_candidates` for every (switch,
-   destination, phase) on randomly generated small RFCs, CFTs, packed
-   RFCs and direct networks, including pruned (faulted) instances,
-   non-minimal routing and RFCs whose leaf masks span several
-   ``uint64`` words.  The folded Clos tables are compared array for
-   array (``offsets``, ``values``, ``flags``, dtypes included) with a
-   table built key by key from the reference, and one pin does the same
-   on the RFC(16, 256, 3) instance of the benchmark's exact workload.
+   destination, phase) on randomly generated small RFCs, CFTs and
+   packed RFCs, including pruned (faulted) instances, non-minimal
+   routing and RFCs whose leaf masks span several ``uint64`` words.
+   The tables are compared array for array (``offsets``, ``values``,
+   ``flags``, dtypes included) with a table built key by key from the
+   reference, and one pin does the same on the RFC(16, 256, 3)
+   instance of the benchmark's exact workload.
 """
 
 import heapq
@@ -41,7 +41,6 @@ from repro.simulation.packet import Packet
 from repro.simulation.traffic import make_traffic
 from repro.topologies.fattree import commodity_fat_tree
 from repro.topologies.packed import PackedFoldedClos, packed_radix_regular_rfc
-from repro.topologies.rrn import random_regular_network
 
 # ----------------------------------------------------------------------
 # Event wheel vs heapq
@@ -350,34 +349,6 @@ def test_channel_lookup_keeps_last_write():
     assert lookup(np.array([], dtype=np.int64), np.array([])).size == 0
 
 
-@given(
-    seed=st.integers(min_value=0, max_value=200),
-    faults=st.integers(min_value=0, max_value=3),
-)
-def test_csr_table_matches_reference_direct(seed, faults):
-    topo = random_regular_network(12, 3, 2, rng=seed)
-    removed = topo.links()[:faults]
-    sim = _build_sim(topo, removed)
-    table = build_candidate_table(sim)
-    assert table.num_sources == topo.num_switches
-    assert table.num_dests == topo.num_switches
-    for switch in range(topo.num_switches):
-        for dest in range(topo.num_switches):
-            packet = Packet(src=0, dst=dest * 2, created=0)
-            flag, cands = _reference_row(sim, switch, packet)
-            if flag == CsrTable.ROUTE and not cands:
-                # Reference returns [] for unreachable direct pairs;
-                # the table classifies them explicitly.
-                assert table.flag(switch, dest) in (
-                    CsrTable.ROUTE,
-                    CsrTable.UNROUTABLE,
-                )
-                assert list(table.candidates(switch, dest)) == []
-                continue
-            assert table.flag(switch, dest) == flag
-            assert list(table.candidates(switch, dest)) == cands
-
-
 def test_candidate_rows_mirror_arrays():
     """Every key of the lazily built rows equals the per-key list mirror
     the exact engine used to build up front: the key's candidate slice
@@ -419,10 +390,3 @@ def test_candidate_rows_match_simulator_table():
             assert rows[key] is None
         else:
             assert rows[key] == table.values[lo:hi].tolist()
-
-
-def test_source_of_value_expansion():
-    table = CsrTable.build(
-        2, 2, lambda s, d: (CsrTable.ROUTE, [0] * (s + 1))
-    )
-    assert table.source_of_value().tolist() == [0, 0, 1, 1, 1, 1]

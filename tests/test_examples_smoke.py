@@ -1,8 +1,9 @@
 """Smoke test: the quickstart example runs end to end.
 
-The heavier examples (expansion, failure drill, shoot-out, planner)
-take tens of seconds each and are exercised manually / in CI nightly;
-the quickstart is the one users copy first, so it must stay green.
+The other examples take up to ~15 s each; the CI ``test`` job runs
+every ``examples/*.py`` script in its "Run examples" step.  The
+quickstart is the one users copy first, so tier-1 checks its output
+too.
 """
 
 import subprocess

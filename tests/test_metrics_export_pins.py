@@ -11,11 +11,11 @@ reproduce the recorded sha256 of
 
 The two exact engines are bit-for-bit identical, so they share one
 digest per case; the relaxed engine has its own.  The cases cover
-uniform and Valiant routing on an RFC, a direct network, a link-faulted
-RFC that drops unroutable packets, two arbitration rounds, and RPC
-flows with a :class:`FlowTracker` composed next to the observer (as
-``run_workload`` composes them; the trace then interleaves the
-tracker's ``flow_complete`` records).
+uniform and Valiant routing on an RFC, a link-faulted RFC that drops
+unroutable packets, two arbitration rounds, and RPC flows with a
+:class:`FlowTracker` composed next to the observer (as ``run_workload``
+composes them; the trace then interleaves the tracker's
+``flow_complete`` records).
 
 Regenerate only on an intentional change to what the engines count or
 in which order they call hooks, and say so in the change log::
@@ -39,7 +39,6 @@ from repro.obs import MetricsObserver, MultiObserver, TraceWriter, TracingObserv
 from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator
 from repro.simulation.traffic import make_traffic
-from repro.topologies.rrn import random_regular_network
 from repro.workloads.flows import make_workload
 from repro.workloads.runner import nominal_load
 from repro.workloads.tracker import FlowTracker
@@ -79,13 +78,6 @@ def valiant_rfc(engine, observer):
     return Simulator(topo, _uniform(topo), 0.5, params, observer=observer)
 
 
-def direct_rrn(engine, observer):
-    topo = random_regular_network(16, 4, 2, rng=5)
-    return Simulator(
-        topo, _uniform(topo), 0.5, _params(engine), observer=observer
-    )
-
-
 def faulted_rfc(engine, observer):
     """40 of 128 links removed: some leaf pairs lose every route."""
     topo = _rfc()
@@ -119,7 +111,6 @@ def rpc_flows(engine, observer):
 CASES = {
     "uniform_rfc": uniform_rfc,
     "valiant_rfc": valiant_rfc,
-    "direct_rrn": direct_rrn,
     "faulted_rfc": faulted_rfc,
     "two_rounds": two_rounds,
     "rpc_flows": rpc_flows,
@@ -151,16 +142,6 @@ def _family(engine: str) -> str:
 #: ``case -> engine family -> (metrics digest, trace digest)``, recorded
 #: while ``MetricsObserver`` still counted through per-event hooks.
 PINS: dict[str, dict[str, tuple[str, str]]] = {
-    "direct_rrn": {
-        "exact": (
-            "bba3713ed0d25d88ac3f94e7ab2fd12822255cc122b532e9151e9a94fd3576e9",
-            "e0ef7e943f20c824dca8cdce3fdfe73eacc70af1a9be86220990e2e1385aa251",
-        ),
-        "relaxed": (
-            "b15909ec00f2ba26746a5f8779e9b5f1951595a42994da2896b94fb3346cc97d",
-            "09ad7f14808d5803e966157e8cc4ae1b657565035f01fcfaa39bbc74f002fd64",
-        ),
-    },
     "faulted_rfc": {
         "exact": (
             "b9530e1d96fd33870dc0db23ae5d62949cb2ee981529654fc79ed78b587551e0",

@@ -26,7 +26,6 @@ from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator
 from repro.simulation.fastpath import build_candidate_table
 from repro.simulation.traffic import UniformTraffic
-from repro.topologies.rrn import random_regular_network
 
 
 def _relaxed_sim(topo, removed=None, cycles=60, **overrides):
@@ -41,16 +40,9 @@ def _relaxed_sim(topo, removed=None, cycles=60, **overrides):
     return Simulator(topo, traffic, 0.5, params, removed)
 
 
-@pytest.fixture(scope="module")
-def rrn_small():
-    return random_regular_network(12, 3, 2, rng=4)
-
-
-@pytest.mark.parametrize("network", ["folded", "faulted", "direct"])
-def test_relaxed_candidate_layout(network, rfc_small, rrn_small):
-    if network == "direct":
-        sim = _relaxed_sim(rrn_small, rrn_small.links()[:2])
-    elif network == "faulted":
+@pytest.mark.parametrize("network", ["folded", "faulted"])
+def test_relaxed_candidate_layout(network, rfc_small):
+    if network == "faulted":
         sim = _relaxed_sim(rfc_small, rfc_small.links()[:20])
     else:
         sim = _relaxed_sim(rfc_small)
@@ -111,13 +103,11 @@ def eager_list_mirror(table: CsrTable) -> list:
     ]
 
 
-@pytest.mark.parametrize("network", ["folded", "valiant", "faulted", "direct"])
+@pytest.mark.parametrize("network", ["folded", "valiant", "faulted"])
 def test_relaxed_run_never_builds_list_mirror(
-    network, rfc_small, rrn_small, no_list_mirror
+    network, rfc_small, no_list_mirror
 ):
-    if network == "direct":
-        sim = _relaxed_sim(rrn_small)
-    elif network == "valiant":
+    if network == "valiant":
         sim = _relaxed_sim(rfc_small, valiant=True)
     elif network == "faulted":
         sim = _relaxed_sim(rfc_small, rfc_small.links()[:40])

@@ -7,10 +7,9 @@ recorded :meth:`SimResult.core_dict` exactly, so a change to how the
 engine lays out its tables or state cannot move a single draw unnoticed.
 
 Each case covers one branch of the engine: the uniform-class
-exposure, Valiant's via phase, a direct network's per-hop classes,
-pruned routing tables that drop packets as unroutable, keyed traffic
-destinations, multi-round arbitration, and a flow workload with the
-tracker and metrics observers attached.  ``rpc_8k`` is the benchmark's
+exposure, Valiant's via phase, pruned routing tables that drop packets
+as unroutable, keyed traffic destinations, multi-round arbitration,
+and a flow workload with the tracker and metrics observers attached.  ``rpc_8k`` is the benchmark's
 ``rpc_8k_relaxed`` run at full size (8192 terminals), with its metrics
 export pinned by digest as well.  Every case also pins a digest of the
 simulator's post-run channel state (:func:`channel_state_digest`): the
@@ -38,7 +37,6 @@ from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator
 from repro.simulation.traffic import make_traffic
 from repro.topologies.packed import packed_radix_regular_rfc
-from repro.topologies.rrn import random_regular_network
 from repro.workloads.flows import make_workload
 from repro.workloads.runner import nominal_load
 from repro.workloads.tracker import FlowTracker
@@ -75,12 +73,6 @@ def valiant_rfc():
     topo = _rfc()
     traffic = make_traffic("uniform", topo.num_terminals)
     return Simulator(topo, traffic, 0.5, _params(valiant=True)), None
-
-
-def direct_rrn():
-    topo = random_regular_network(16, 4, 2, rng=5)
-    traffic = make_traffic("uniform", topo.num_terminals)
-    return Simulator(topo, traffic, 0.5, _params()), None
 
 
 def faulted_rfc():
@@ -151,7 +143,6 @@ def rpc_8k():
 CASES = {
     "uniform_rfc": uniform_rfc,
     "valiant_rfc": valiant_rfc,
-    "direct_rrn": direct_rrn,
     "faulted_rfc": faulted_rfc,
     "faulted_valiant_rfc": faulted_valiant_rfc,
     "fixed_random_two_rounds": fixed_random_two_rounds,
@@ -208,24 +199,6 @@ def run_case(build) -> dict:
 #: ``channel_state_sha256`` was recorded before the per-VC channel
 #: state became lazy (queued packets written back at run end).
 PINS: dict[str, dict] = {
-    "direct_rrn": {
-        "accepted_load": 0.505,
-        "avg_hops": 1.933993399339934,
-        "avg_latency": 48.976897689768975,
-        "channel_state_sha256": (
-            "2d89c5b423558116ed4b5168cb8578d3046dfccf6e6e8b8e34c95f475b4f43ab"
-        ),
-        "delivered_packets": 374,
-        "generated_packets": 408,
-        "max_latency": 153,
-        "measured_packets": 303,
-        "offered_load": 0.5,
-        "p50_latency": 42.0,
-        "p99_latency": 124.0,
-        "topology": "RRN(N=16, delta=4, hosts=2)",
-        "traffic": "uniform",
-        "unroutable_packets": 0
-    },
     "faulted_rfc": {
         "accepted_load": 0.4125,
         "avg_hops": 2.8646464646464644,

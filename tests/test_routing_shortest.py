@@ -1,10 +1,8 @@
 """Shortest-path and k-shortest-path routing tests."""
 
 import networkx as nx
-import pytest
 
 from repro.routing.shortest import (
-    all_shortest_next_hops,
     k_shortest_paths,
     shortest_path,
     shortest_path_lengths,
@@ -37,19 +35,6 @@ class TestShortestPath:
             theirs = nx.single_source_shortest_path_length(graph, src)
             for v in range(16):
                 assert ours[v] == theirs[v]
-
-
-class TestNextHops:
-    def test_ecmp_table(self):
-        table = all_shortest_next_hops(ladder(), 3)
-        assert table[3] == []
-        assert set(table[0]) == {3}
-        assert set(table[2]) == {3}
-        assert set(table[1]) == {0, 2}  # both two hops from 3
-
-    def test_unreachable_empty(self):
-        table = all_shortest_next_hops([[1], [0], []], 2)
-        assert table[0] == []
 
 
 class TestKShortest:

@@ -108,10 +108,3 @@ class TestStageUtilization:
         stages = sim.stage_utilization()
         values = list(stages.values())
         assert max(values) < 2.5 * min(values)
-
-    def test_direct_network_rejected(self, rrn_16):
-        traffic = make_traffic("uniform", rrn_16.num_terminals, rng=9)
-        sim = Simulator(rrn_16, traffic, 0.3, FAST)
-        sim.run()
-        with pytest.raises(ValueError):
-            sim.stage_utilization()
