@@ -16,7 +16,7 @@ def test_fig11_table(benchmark):
 
 
 def test_updown_trial_kernel(benchmark):
-    """One binary-searched failure order on a mid-size RFC."""
+    """One failure-order threshold search on a mid-size RFC."""
     topo, _ = rfc_with_updown(12, 120, 3, rng=6)
     benchmark.pedantic(
         lambda: updown_trial(topo, rng=7), rounds=3, iterations=1

@@ -13,7 +13,7 @@ exactly; the script fails on any signature drift):
 * **graphs** -- the pure-Python graph-analysis layer against the numpy
   kernels of :mod:`repro.accel` on a large RFC: all-sources batched
   BFS (diameter / average distance) and the packed-bitset ancestor
-  sweeps driving the fault-threshold binary search
+  sweeps driving the fault-threshold search
   (``BENCH_graphs.json``).
 
     PYTHONPATH=src python scripts/bench_regression.py [--out PATH]
@@ -354,8 +354,8 @@ def bench_graphs(repeats: int, quick: bool) -> dict:
     }
 
     # Ancestor sweeps: the coverage fraction (one full sweep pair) and
-    # the fault-threshold binary search (the repeated masked-sweep
-    # workload the incremental prune path exists for).
+    # the fault-threshold search (the repeated masked-sweep workload
+    # the incremental prune path exists for).
     topo = radix_regular_rfc(*sweep_cfg, rng=11)
     stages = stages_of(topo)
     order = shuffled_links(topo, rng=7)

@@ -23,7 +23,8 @@ Three kernel families:
   (:class:`StageSweeper`) -- descendant/coverage sweeps for
   :mod:`repro.core.ancestors`, ``U_j`` reach tables for
   :class:`repro.routing.updown.UpDownRouter`, and masked (pruned)
-  sweeps for the fault binary searches.
+  sweeps and max-min failure-position sweeps for the Fig. 11
+  threshold search.
 
 See ``docs/PERFORMANCE.md`` ("Analysis kernels") for design notes and
 measured speedups (``scripts/bench_regression.py`` ->

@@ -30,20 +30,25 @@ both groupings precomputed, so a sweep is one gather plus one
   that one ``(words x edges)`` gather stays under a fixed byte budget
   (the full gather is 64 MiB per stage at 131k terminals, 4 GiB at 1M),
   the masked edge indices are built once per query and shared by every
-  block, and :meth:`StageSweeper.has_updown` stops at the first block
-  that misses a leaf pair.
+  block, and :meth:`StageSweeper.missing_pair` stops at the first block
+  that misses a leaf pair and names one such pair.
 
-Fault analyses therefore pass per-stage boolean *keep* masks instead
-of rebuilding pruned stage lists, which is what makes
-:func:`repro.faults.updown_survival.order_threshold`'s binary search
-incremental (one mask comparison per probe, no Python list rebuilds).
+Fault analyses pass per-stage boolean *keep* masks instead of
+rebuilding pruned stage lists (one mask comparison per probe, no
+Python list rebuilds).  Beside the bitset sweeps,
+:meth:`StageSweeper.row_minimum` runs one **max-min sweep** over int
+edge failure positions: from a single leaf it yields, for every other
+leaf, the longest failure prefix the pair survives.
+:func:`repro.faults.updown_survival.order_threshold` alternates the two
+-- a row minimum bounds the threshold from above, a masked probe at
+that bound either confirms it or names a pair whose row lowers it.
 Public methods return masks in the natural ``(N, W)`` layout expected
 by :mod:`repro.accel.bitset`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -245,6 +250,46 @@ class _StageEdges:
         )
         out_t[:, rows[nonempty]] = reduced
 
+    def _max_min(
+        self,
+        values: NDArray[np.integer[Any]],
+        pos: NDArray[np.integer[Any]],
+        idx: NDArray[np.intp],
+        starts: NDArray[np.intp],
+        rows: NDArray[np.intp],
+        n_out: int,
+    ) -> NDArray[np.integer[Any]]:
+        out = np.full(n_out, -1, dtype=values.dtype)
+        if rows.size:
+            gathered = values[idx]
+            np.minimum(gathered, pos, out=gathered)
+            out[rows] = np.maximum.reduceat(gathered, starts)
+        return out
+
+    def max_min_up(
+        self, lower: NDArray[np.integer[Any]], pos: NDArray[np.integer[Any]]
+    ) -> NDArray[np.integer[Any]]:
+        """``out[t] = max min(lower[s], pos[e])`` over edges ``e = s -> t``.
+
+        ``pos`` is in flat edge order; rows with no edge read -1.
+        """
+        return self._max_min(
+            lower,
+            pos[self.down_perm],
+            self.down_src,
+            self.down_starts,
+            self.down_rows,
+            self.n_hi,
+        )
+
+    def max_min_down(
+        self, upper: NDArray[np.integer[Any]], pos: NDArray[np.integer[Any]]
+    ) -> NDArray[np.integer[Any]]:
+        """``out[s] = max min(upper[t], pos[e])`` over edges ``e = s -> t``."""
+        return self._max_min(
+            upper, pos, self.dst, self.up_starts, self.up_rows, self.n_lo
+        )
+
 
 class StageSweeper:
     """Reusable packed-sweep engine for one ``(level_sizes, up_stages)``.
@@ -311,15 +356,18 @@ class StageSweeper:
         return masks
 
     def _cover_blocks(
-        self, keep_masks: Sequence[NDArray[np.bool_]] | None
+        self,
+        keep_masks: Sequence[NDArray[np.bool_]] | None,
+        start_word: int = 0,
     ) -> Iterator[tuple[int, NDArray[np.uint64]]]:
-        """``(first_word, cover_t)`` per block of mask words, in order.
+        """``(first_word, cover_t)`` per block of mask words.
 
         ``cover_t`` holds words ``first_word : first_word + len(cover_t)``
         of every leaf's coverage (own bit included), transposed, with the
         null column.  Each block runs the full up-then-down sweep over
         only its leaves' bits, so the largest transient is one gather of
-        at most :data:`_BLOCK_BYTES`.
+        at most :data:`_BLOCK_BYTES`.  Blocks run in word order, starting
+        from the one holding ``start_word`` and wrapping around.
         """
         keeps: Sequence[NDArray[np.bool_] | None] = (
             keep_masks if keep_masks is not None else [None] * len(self.stages)
@@ -329,7 +377,9 @@ class StageSweeper:
         width = words_for(self.n1)
         edges = max((stage.dst.size for stage in self.stages), default=0)
         step = max(1, _BLOCK_BYTES // (8 * max(edges, 1)))
-        for lo in range(0, width, step):
+        starts = range(0, width, step)
+        first = start_word // step
+        for lo in [*starts[first:], *starts[:first]]:
             leaves = _singletons_t(self.n1, lo, min(width, lo + step))
             masks = leaves
             for stage, idx in zip(self.stages, up):
@@ -356,20 +406,63 @@ class StageSweeper:
             out[:, lo : lo + len(cover)] = cover[:, :-1].T
         return out
 
+    def missing_pair(
+        self,
+        keep_masks: Sequence[NDArray[np.bool_]] | None = None,
+        near: int = 0,
+    ) -> tuple[int, int] | None:
+        """One leaf pair ``(a, b)`` with no common root, or ``None``.
+
+        Sweeps the block of mask words holding leaf ``near`` first and
+        stops at the first block that misses a pair.  ``a`` is the leaf
+        that misses the most leaves of that block and ``b`` the lowest
+        of them.
+        """
+        full = full_row(self.n1)[:, None]
+        for lo, cover in self._cover_blocks(keep_masks, near // 64):
+            # Coverage never exceeds the full row, so XOR leaves exactly
+            # the missing bits; in place, a passing block allocates
+            # nothing.
+            gaps = cover[:, :-1]
+            gaps ^= full[lo : lo + len(cover)]
+            if gaps.any():
+                a = int(np.argmax(popcount(gaps.T)))
+                word = int(np.flatnonzero(gaps[:, a])[0])
+                bits = int(gaps[word, a])
+                return a, 64 * (lo + word) + (bits & -bits).bit_length() - 1
+        return None
+
     def has_updown(
         self, keep_masks: Sequence[NDArray[np.bool_]] | None = None
     ) -> bool:
-        """Whether every leaf pair keeps a common ancestor.
+        """Whether every leaf pair keeps a common ancestor."""
+        return self.missing_pair(keep_masks) is None
 
-        Stops at the first block of mask words that misses a pair.
+    def row_minimum(
+        self, positions: Sequence[NDArray[np.integer[Any]]], leaf: int
+    ) -> int:
+        """``min d(leaf, x)`` over the other leaves ``x``.
+
+        ``positions`` are per-stage edge failure positions as for
+        :meth:`keep_masks_for_positions`.  ``d(a, b)`` is the largest
+        ``k`` for which ``a`` and ``b`` keep a common root once every
+        edge with position below ``k`` fails: the max over roots ``r``
+        of ``min(B_a(r), B_b(r))``, where ``B_a(r)`` is the best
+        bottleneck (largest minimum position) over up-paths from ``a``
+        to ``r``, and -1 with no path.  One max-min sweep up from
+        ``leaf`` gives ``B_leaf``; one down gives ``d(leaf, .)``.  With
+        no other leaf the result is the dtype's maximum.
         """
-        if self.n1 == 0:
-            return True
-        full = full_row(self.n1)[:, None]
-        return all(
-            np.all(cover[:, :-1] == full[lo : lo + len(cover)])
-            for lo, cover in self._cover_blocks(keep_masks)
-        )
+        dtype = positions[0].dtype if positions else np.dtype(np.int64)
+        top = np.iinfo(dtype).max
+        values = np.full(self.n1, -1, dtype=dtype)
+        values[leaf] = top
+        for stage, pos in zip(self.stages, positions):
+            values = stage.max_min_up(values, pos)
+        for stage, pos in zip(reversed(self.stages), reversed(positions)):
+            values = stage.max_min_down(values, pos)
+        values[leaf] = top
+        return int(values.min())
 
     def reachable_fraction(
         self, keep_masks: Sequence[NDArray[np.bool_]] | None = None
@@ -426,9 +519,9 @@ class StageSweeper:
 
         ``positions[stage][e]`` is the failure-order index of stage
         edge ``e`` (``len(order)`` and beyond = never fails); an edge
-        survives while its position is ``>= threshold``.  Binary
-        searches re-derive the masks per probe with one comparison per
-        edge -- no stage lists are rebuilt.
+        survives while its position is ``>= threshold``.  Threshold
+        probes re-derive the masks with one comparison per edge -- no
+        stage lists are rebuilt.
         """
         return [pos >= threshold for pos in positions]
 

@@ -3,10 +3,14 @@
 The paper's resiliency methodology (Section 7, after Slim Fly): links
 fail one by one in uniformly random order; a property of interest
 (connectivity, up/down routability, throughput) is tracked along the
-failure sequence.  Because every property studied is *monotone* --
-once lost it cannot come back as more links fail -- thresholds along a
-fixed failure order can be located by binary search, which is what
-makes 100-trial averages at paper scale affordable.
+failure sequence.  Every property studied is *monotone* -- once lost
+it cannot come back as more links fail -- so each failure order has one
+threshold.  :func:`failure_threshold` locates it by binary search for
+the switch-failure and pure-Python reference searches; the accelerated
+Fig. 11 search
+(:func:`repro.faults.updown_survival.order_threshold`) needs only a few
+probes, because a per-leaf max-min sweep bounds the threshold and each
+failed probe names a pair that tightens the bound.
 
 A failure order is a :class:`FailureOrder`: a row permutation of the
 topology's ``links_array()``, read as a sequence of :class:`Link`.

@@ -11,8 +11,14 @@ that property breaks.  Per the paper:
 * CFTs have a fixed (lower) tolerance and OFTs lose up/down routing at
   the very first failures (unique paths).
 
-The property is monotone in the failure prefix, so thresholds are
-located by binary search over each random order (see
+The property is monotone in the failure prefix.  Each leaf pair
+survives exactly up to a failure count ``d(a, b)`` that one max-min
+sweep per leaf computes for a whole row of pairs, so a threshold is the
+smallest ``d``: :func:`order_threshold` finds it by following
+witnesses -- a row minimum bounds it, a probe at the bound confirms it
+or names a pair whose row lowers it (see
+:meth:`repro.accel.StageSweeper.row_minimum`).  The pure-Python
+reference path binary-searches the prefix instead (see
 :mod:`repro.faults.removal`).
 """
 
@@ -99,10 +105,11 @@ def _stage_failure_positions(
     """Failure-order index of every stage edge (``len(order)`` = never).
 
     Maps the flat failure order onto the sweeper's per-stage edge
-    arrays once, so each binary-search probe afterwards is a single
-    vectorized position comparison.  A link listed twice fails at its
-    first position.  Raises :class:`ValueError` naming the first link
-    of ``order`` that is not a link of ``topo``.
+    arrays once; each threshold probe afterwards is a single vectorized
+    position comparison, and each row minimum a max-min sweep over the
+    positions.  A link listed twice fails at its first position.
+    Raises :class:`ValueError` naming the first link of ``order`` that
+    is not a link of ``topo``.
     """
     import numpy as np
 
@@ -155,13 +162,14 @@ def order_threshold(
     scheduling order -- including across a process pool -- without
     perturbing results.
 
-    With ``accel=True`` (the default) the monotone binary search runs
-    incrementally: the stage edges are packed once into a
-    :class:`repro.accel.StageSweeper` together with each edge's
-    position in ``order``, and every probe re-runs the packed ancestor
-    sweep on a masked edge array instead of rebuilding pruned Python
-    stage lists.  Thresholds are bit-for-bit identical to the
-    reference path (``accel=False``).
+    With ``accel=True`` (the default) the stage edges are packed once
+    into a :class:`repro.accel.StageSweeper` together with each edge's
+    position in ``order``, and the threshold is found by following
+    witnesses (:func:`_witness_threshold`): a handful of row minima and
+    masked probes, where a binary search needs about ``log2(len(order))``
+    probes.  Thresholds are identical to the reference path
+    (``accel=False``), which binary-searches the prefix on pruned
+    Python stage lists.
 
     ``order`` is a :class:`~repro.faults.removal.FailureOrder`, whose
     pair array the accelerated path reads directly, or any sequence of
@@ -177,24 +185,54 @@ def order_threshold(
         # keep mask and threshold) is identical either way.
         sweeper = sweeper_of(topo)
         positions = _stage_failure_positions(topo, sweeper, order)
+        return _witness_threshold(sweeper, positions, len(order))
 
-        def still_ok(k: int) -> bool:
-            keep = sweeper.keep_masks_for_positions(positions, k)
-            return sweeper.has_updown(keep)
+    known = set(topo.links())
+    for link in order:
+        if link not in known:
+            raise _foreign_link(link)
 
-    else:
-        known = set(topo.links())
-        for link in order:
-            if link not in known:
-                raise _foreign_link(link)
-
-        def still_ok(k: int) -> bool:
-            removed = set(order[:k])
-            return has_updown_routing(
-                sizes, pruned_stages(topo, removed), accel=accel
-            )
+    def still_ok(k: int) -> bool:
+        removed = set(order[:k])
+        return has_updown_routing(
+            sizes, pruned_stages(topo, removed), accel=accel
+        )
 
     return failure_threshold(len(order), still_ok) - 1
+
+
+def _witness_threshold(
+    sweeper: "_accel.StageSweeper", positions: list, never: int
+) -> int:
+    """``min d(a, b)`` over leaf pairs, capped at ``never``.
+
+    A pair survives the first ``k`` failures iff ``d(a, b) >= k`` (see
+    :meth:`~repro.accel.StageSweeper.row_minimum`), so the threshold is
+    the smallest ``d``.  ``bound`` starts as leaf 0's row minimum and
+    stays an upper bound; a probe at ``k = bound`` either passes, which
+    makes it exact, or names a pair with ``d < bound``, whose row
+    minimum is a strictly smaller bound.  The next probe starts at the
+    block of mask words where the last one failed.
+    """
+    bound = min(sweeper.row_minimum(positions, 0), never)
+    near = 0
+    while bound >= 0:
+        pair = sweeper.missing_pair(
+            sweeper.keep_masks_for_positions(positions, bound), near
+        )
+        if pair is None:
+            return bound
+        leaf, near = pair
+        row = sweeper.row_minimum(positions, leaf)
+        if row >= bound:
+            # The pair's own d is below ``bound``; a row that is not
+            # means the sweeps disagree, and looping would not end.
+            raise RuntimeError(
+                f"leaf {leaf} misses a pair at {bound} failures, but its "
+                f"row minimum is {row}"
+            )
+        bound = row
+    return -1
 
 
 def updown_trial(
@@ -221,7 +259,7 @@ def updown_fault_tolerance(
 
     All ``trials`` random failure orders are drawn from ``rng`` up
     front -- consuming exactly the same RNG stream as the historical
-    serial trial loop -- and the monotone-threshold searches (the
+    serial trial loop -- and the per-order threshold searches (the
     expensive part) then run through ``executor`` (the ambient
     :mod:`repro.exec` executor when None), which may fan them across
     worker processes.  Each order ships to a worker as its int32 pair

@@ -11,8 +11,6 @@ scalar hot loop.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
-
 import numpy as np
 
 __all__ = ["CandidateRows", "CsrTable"]
@@ -62,34 +60,6 @@ class CsrTable:
         self.offsets = offsets
         self.values = values
         self.flags = flags
-
-    @classmethod
-    def build(
-        cls,
-        num_sources: int,
-        num_dests: int,
-        entry: Callable[[int, int], tuple[int, Iterable[int]]],
-    ) -> "CsrTable":
-        """Materialize ``entry(source, dest) -> (flag, candidates)``
-        for every key, in row-major (source-major) order."""
-        offsets = np.zeros(num_sources * num_dests + 1, dtype=np.int64)
-        flags = np.zeros(num_sources * num_dests, dtype=np.uint8)
-        values: list[int] = []
-        key = 0
-        for source in range(num_sources):
-            for dest in range(num_dests):
-                flag, candidates = entry(source, dest)
-                flags[key] = flag
-                values.extend(candidates)
-                key += 1
-                offsets[key] = len(values)
-        return cls(
-            num_sources,
-            num_dests,
-            offsets,
-            np.asarray(values, dtype=np.int32),
-            flags,
-        )
 
     def key(self, source: int, dest: int) -> int:
         return source * self.num_dests + dest

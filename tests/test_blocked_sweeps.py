@@ -99,8 +99,8 @@ def test_has_updown_stops_at_first_broken_block(
     seen = []
     blocks = accel.StageSweeper._cover_blocks
 
-    def counting(self, keep_masks):
-        for lo, cover in blocks(self, keep_masks):
+    def counting(self, *args):
+        for lo, cover in blocks(self, *args):
             seen.append(lo)
             yield lo, cover
 
