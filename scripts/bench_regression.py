@@ -5,8 +5,9 @@ Two benchmark families, both built on the repo's bit-for-bit
 two-engine contract (the accelerated path must reproduce the reference
 exactly; the script fails on any signature drift):
 
-* **engine** -- the cycle-level simulator's reference engine against
-  the precomputed-route fast path and the relaxed counter-RNG engine (statistically equivalent, not
+* **engine** -- the cycle-level simulator's reference engine (the test
+  suite's oracle, ``tests/oracle_engine.py``) against the
+  precomputed-route fast path and the relaxed counter-RNG engine (statistically equivalent, not
   bit-for-bit; gated by ``--min-relaxed-speedup``), plus the
   observability overhead of the metrics / metrics+trace observers
   (gated by ``--max-metrics-overhead-pct``; ``BENCH_engine.json``);
@@ -36,7 +37,12 @@ import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+# The reference engine lives with the tests as their oracle.
+sys.path.insert(0, str(ROOT / "tests"))
+
+from oracle_engine import engine_context, run_on  # noqa: E402
 
 from repro.core.rfc import rfc_with_updown  # noqa: E402
 from repro.obs import (  # noqa: E402
@@ -58,11 +64,11 @@ from repro.simulation.traffic import make_traffic  # noqa: E402
 MODE_ROUNDS = 15
 
 
-def _run_once(topo, params, load: float, observer=None):
+def _run_once(topo, params, load: float, observer=None, engine="fast"):
     traffic = make_traffic("uniform", topo.num_terminals, rng=params.seed + 7_919)
     sim = Simulator(topo, traffic, load, params, observer=observer)
     start = time.perf_counter()
-    result = sim.run()
+    result = run_on(sim, engine)
     return result, time.perf_counter() - start
 
 
@@ -85,11 +91,11 @@ def bench(repeats: int, quick: bool) -> dict:
         if engine == "relaxed":
             eng_params = params.scaled(rng_mode="relaxed")
         else:
-            eng_params = params.scaled(engine=engine)
+            eng_params = params
         elapsed = 0.0
         checksum = None
         for _ in range(repeats):
-            result, wall = _run_once(topo, eng_params, load)
+            result, wall = _run_once(topo, eng_params, load, engine=engine)
             elapsed += wall
             sig = (result.accepted_load, result.avg_latency,
                    result.delivered_packets)
@@ -148,7 +154,7 @@ def bench(repeats: int, quick: bool) -> dict:
         if engine == "relaxed":
             eng_params = wl_params.scaled(rng_mode="relaxed")
         else:
-            eng_params = wl_params.scaled(engine=engine)
+            eng_params = wl_params
         elapsed = 0.0
         flows_done = 0
         checksum = None
@@ -160,9 +166,10 @@ def bench(repeats: int, quick: bool) -> dict:
             )
             writer = TraceWriter(None)
             start = time.perf_counter()
-            result = run_workload(
-                topo, workload, eng_params, trace_writer=writer
-            )
+            with engine_context(engine):
+                result = run_workload(
+                    topo, workload, eng_params, trace_writer=writer
+                )
             elapsed += time.perf_counter() - start
             fs = result.flow_stats
             flows_done += fs["flows_completed"]

@@ -71,8 +71,7 @@ confidence intervals -- is enforced statistically by
 ``tests/statcheck.py`` / ``tests/test_relaxed_rng_equivalence.py``
 against paired exact-mode replication sweeps.  Because results differ
 bit-for-bit, ``rng_mode`` **participates in the result cache key**
-(see ``CACHE_KEY_EXCLUDED_FIELDS`` policy in
-:mod:`repro.simulation.config`; lint pass RPR105 guards it).
+(:func:`repro.exec.cache.cache_key`; lint pass RPR105 guards it).
 
 Restrictions: ``arbiter="random"`` and ``up_selection="random"`` only
 (the paper's Table 2 configuration; rotating pointers and adaptive
@@ -90,7 +89,7 @@ import numpy as np
 from ..obs.hooks import begin_run
 from ..simulation.engine import _EJECT
 from ..simulation.packet import Packet
-from ..simulation.stats import SimResult, SimStats
+from ..simulation.stats import SimResult
 from ..simulation.traffic import UniformTraffic
 from .rng import (
     SITE_BITS,
@@ -481,8 +480,7 @@ def run_relaxed(sim) -> SimResult:
     built, by a reader or an earlier run.
     """
     params = sim.params
-    stats = SimStats(warmup=params.warmup_cycles, horizon=params.horizon)
-    sim._stats = stats
+    stats = sim._start_stats()
     horizon = params.horizon
     phits = params.packet_phits
     latency = params.link_latency
@@ -1039,14 +1037,4 @@ def run_relaxed(sim) -> SimResult:
     )
     sim._leave_buffer_fill(fill)
     sim._next_serial = next_serial
-    result = SimResult.from_stats(
-        stats,
-        offered_load=sim.load,
-        num_terminals=num_terminals,
-        traffic=sim.traffic.name,
-        topology=topo.name,
-        unroutable_packets=sim.unroutable_packets,
-    )
-    if sim.observer is not None:
-        sim.observer.on_run_end(sim, result)
-    return result
+    return sim._finish_run()

@@ -101,23 +101,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--cycles", type=int, default=2_000)
     sim.add_argument("--warmup", type=int, default=500)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--engine",
-                     choices=["fast", "reference"],
-                     default="fast",
-                     help="exact engine: 'fast' (precomputed-route "
-                          "fast path, default) or 'reference' (the "
-                          "oracle); results are bit-for-bit identical")
     sim.add_argument("--rng-mode",
                      choices=["exact", "relaxed"],
                      default="exact",
                      help="'exact' (default): one shared sequential RNG "
-                          "stream, bit-for-bit reproducible across all "
-                          "engines; 'relaxed': counter-based per-packet "
-                          "RNG on the fully batched engine -- much "
-                          "faster, deterministic per seed, but NOT "
-                          "bit-for-bit comparable to exact-mode results "
-                          "(statistical equivalence only; ignores "
-                          "--engine)")
+                          "stream, bit-for-bit reproducible; 'relaxed': "
+                          "counter-based per-packet RNG on the fully "
+                          "batched engine -- much faster, deterministic "
+                          "per seed, but NOT bit-for-bit comparable to "
+                          "exact-mode results (statistical equivalence "
+                          "only)")
     sim.add_argument("--trace", metavar="PATH", default=None,
                      help="write a JSONL event trace (inject/hop/eject/"
                           "drop) to PATH")
@@ -150,16 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="incast fan-in (workers per aggregator)")
     wl.add_argument("--rpc-size", type=int, default=4,
                     help="packets per rpc/incast flow")
-    wl.add_argument("--engine",
-                    choices=["fast", "reference"],
-                    default="fast",
-                    help="exact engine; the flow_complete stream is "
-                         "bit-for-bit identical across both")
     wl.add_argument("--rng-mode", choices=["exact", "relaxed"],
                     default="exact",
                     help="'relaxed': counter-RNG batched engine, "
-                         "statistically equivalent only (ignores "
-                         "--engine)")
+                         "statistically equivalent only")
     wl.add_argument("--trace", metavar="PATH", default=None,
                     help="write flow_complete JSONL records to PATH")
 
@@ -390,9 +377,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         measure_cycles=args.cycles,
         warmup_cycles=args.warmup,
         seed=args.seed,
-        # Relaxed mode has exactly one engine; the selection knob only
-        # applies to the exact engines.
-        engine="fast" if relaxed else args.engine,
         rng_mode="relaxed" if relaxed else "exact",
     )
     traffic = make_traffic(args.traffic, topo.num_terminals,
@@ -445,8 +429,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     else:
         topo, _ = rfc_with_updown(args.radix, args.leaves, args.levels,
                                   rng=args.seed)
-    relaxed = args.rng_mode == "relaxed"
-    if relaxed:
+    if args.rng_mode == "relaxed":
         print(
             "WARNING: --rng-mode relaxed is NOT bit-for-bit "
             "reproducible against exact-mode runs; FCT distributions "
@@ -457,8 +440,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         measure_cycles=args.cycles,
         warmup_cycles=args.warmup,
         seed=args.seed,
-        engine="fast" if relaxed else args.engine,
-        rng_mode="relaxed" if relaxed else "exact",
+        rng_mode=args.rng_mode,
     )
     workload = make_workload(
         args.pattern,
@@ -476,7 +458,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         writer.close()
     fs = result.flow_stats
     print(f"{topo.name}  workload={args.pattern}  "
-          f"engine={params.engine_name}  seed={args.seed}")
+          f"rng_mode={params.rng_mode}  seed={args.seed}")
     print(f"  flows: {fs['flows_completed']:,}/{fs['flows_total']:,} "
           f"completed ({fs['flows_dropped']} dropped), "
           f"{fs['packets']:,} packets delivered")

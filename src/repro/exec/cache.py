@@ -10,16 +10,11 @@ by everything that can influence it:
 * the **traffic pattern name** and the integer seed the pattern is
   (re)built from;
 * the **offered load**;
-* every field of :class:`~repro.simulation.config.SimulationParams`
-  (including the engine seed) -- *except* the engine-selection knobs
-  declared in :data:`~repro.simulation.config
-  .CACHE_KEY_EXCLUDED_FIELDS`: all exact engines are bit-for-bit
-  identical (enforced by the differential suite), so engine selection
-  must not change the digest and every engine shares entries.
-  ``rng_mode`` deliberately stays *in* the key: relaxed-mode results
-  are only statistically equivalent, so a relaxed run must never be
-  served from (or overwrite) an exact entry -- lint pass RPR105 guards
-  this;
+* every field of :class:`~repro.simulation.config.SimulationParams`,
+  the engine seed and ``rng_mode`` included: relaxed-mode results are
+  only statistically equivalent to exact ones, so a relaxed run must
+  never be served from (or overwrite) an exact entry -- lint pass
+  RPR105 guards this;
 * the sorted set of **removed links** (fault experiments);
 * a **code version** tag (:data:`CODE_VERSION`) bumped whenever the
   simulator's semantics change, so stale results from an older engine
@@ -42,7 +37,7 @@ import json
 import os
 from pathlib import Path
 
-from ..simulation.config import CACHE_KEY_EXCLUDED_FIELDS, SimulationParams
+from ..simulation.config import SimulationParams
 from ..simulation.stats import SimResult
 from ..topologies.base import DirectNetwork, FoldedClos, Link
 from ..topologies.io import to_json
@@ -88,16 +83,6 @@ def cache_key(
     (pattern-traffic) key stays byte-identical to pre-workload
     releases and existing caches keep hitting.
     """
-    params_payload = dataclasses.asdict(params)
-    # Engine selection produces identical results by contract, so it
-    # must not (and does not) influence the digest: caches written by
-    # either exact engine, or before an engine knob existed, keep
-    # hitting.  The excluded set is declared next to the dataclass
-    # (and cross-checked by lint passes RPR101/RPR105), not hand-rolled
-    # here; ``rng_mode`` is NOT in that set, so relaxed-mode results
-    # key separately from exact ones.
-    for excluded in sorted(CACHE_KEY_EXCLUDED_FIELDS):
-        params_payload.pop(excluded, None)
     payload = {
         "code": CODE_VERSION,
         "format": CACHE_FORMAT,
@@ -105,7 +90,7 @@ def cache_key(
         "traffic": traffic_name,
         "traffic_seed": traffic_seed,
         "load": load,
-        "params": params_payload,
+        "params": dataclasses.asdict(params),
         "removed": sorted([link.lo, link.hi] for link in removed_links or ()),
     }
     if workload is not None:

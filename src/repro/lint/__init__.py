@@ -33,9 +33,8 @@ import/call graph (:mod:`repro.lint.graph`) after the per-file phase:
 ========  ==========================================================
 code      invariant
 ========  ==========================================================
-RPR101    every ``SimulationParams``/``SimResult`` field consumed by
-          both exact engines and covered by an explicit cache-key
-          policy
+RPR101    every ``SimResult`` field set by ``from_stats``, and every
+          side-channel field stripped by ``core_dict``
 RPR102    numpy integer-width hazards (int32 overflow, uint64/signed
           mixing) in kernel code
 RPR103    wall-clock/env/RNG/``hash()`` impurity reaching cache-key or

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .rpr001_unseeded_rng import UnseededRngChecker
 from .rpr003_set_iteration import SetIterationChecker
 from .rpr004_wallclock import WallClockChecker
-from .rpr101_engine_parity import EngineParityChecker
+from .rpr101_result_coverage import ResultCoverageChecker
 from .rpr102_dtype_width import DtypeWidthChecker
 from .rpr103_cachekey_taint import CacheKeyTaintChecker
 from .rpr105_relaxed_rng import RelaxedRngChecker
@@ -19,7 +19,7 @@ __all__ = [
     "UnseededRngChecker",
     "SetIterationChecker",
     "WallClockChecker",
-    "EngineParityChecker",
+    "ResultCoverageChecker",
     "DtypeWidthChecker",
     "CacheKeyTaintChecker",
     "RelaxedRngChecker",

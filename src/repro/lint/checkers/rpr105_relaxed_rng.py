@@ -1,24 +1,17 @@
 """RPR105: relaxed-RNG results must never alias exact results.
 
-``rng_mode="relaxed"`` (PR 8) trades the exact engines' bit-for-bit
-contract for throughput: its results are only *statistically*
-equivalent (``tests/test_relaxed_rng_equivalence.py``).  Every sink
-that treats two results as interchangeable must therefore see the
-mode.  The cache is the dangerous one -- a relaxed result served from
-(or overwriting) an exact entry corrupts golden numbers silently, and
-the exclusion machinery RPR101 checks for *consistency* would happily
-bless a consistently-wrong policy that declares ``rng_mode`` excluded.
+``rng_mode="relaxed"`` trades the exact engine's bit-for-bit contract
+for throughput: its results are only *statistically* equivalent
+(``tests/test_relaxed_rng_equivalence.py``).  Every sink that treats
+two results as interchangeable must therefore see the mode.  The cache
+is the dangerous one -- a relaxed result served from (or overwriting)
+an exact entry corrupts golden numbers silently.
 
-This pass pins the policy itself, in three legs:
+This pass pins the policy in two legs:
 
-1. **Declared exclusion** -- ``rng_mode`` appearing in
-   ``CACHE_KEY_EXCLUDED_FIELDS`` is a finding: unlike the engine-
-   selection knobs (whose results are identical by contract), relaxed
-   results differ, so the mode must stay in the key.
-2. **Hand-rolled drop** -- any ``payload.pop("rng_mode")`` inside a
-   key-deriving function of the cache module is a finding, declared or
-   not.
-3. **Unrecorded piecemeal key** -- a key-deriving function in an
+1. **Hand-rolled drop** -- any ``payload.pop("rng_mode")`` inside a
+   key-deriving function of the cache module is a finding.
+2. **Unrecorded piecemeal key** -- a key-deriving function in an
    ``exec`` module that assembles its payload from individual
    ``params.<field>`` reads (no wholesale ``asdict``/``to_dict``
    serialization) without reading ``rng_mode`` leaves the mode
@@ -40,7 +33,6 @@ from ..graph import ModuleSummary, ProjectGraph
 CONFIG_MODULE = "simulation.config"
 CACHE_MODULE = "exec.cache"
 PARAMS_CLASS = "SimulationParams"
-EXCLUSION_CONSTANT = "CACHE_KEY_EXCLUDED_FIELDS"
 MODE_FIELD = "rng_mode"
 
 #: Call-target suffixes that serialize a params object wholesale (every
@@ -74,29 +66,12 @@ class RelaxedRngChecker(ProjectChecker):
         fields = {f.name for f in config.classes[PARAMS_CLASS].fields}
         if MODE_FIELD not in fields:
             return  # pre-relaxed tree: nothing to guard
-        yield from self._check_declared_exclusion(config)
         cache = project.find_module(CACHE_MODULE)
         if cache is None:
             return
         yield from self._check_key_functions(cache, fields)
 
-    # -- 1. declared exclusion ----------------------------------------
-
-    def _check_declared_exclusion(
-        self, config: ModuleSummary
-    ) -> Iterator[Finding]:
-        declared = config.str_sets.get(EXCLUSION_CONSTANT)
-        if declared is not None and MODE_FIELD in declared:
-            yield self.finding(
-                config.path, config.classes[PARAMS_CLASS].lineno, 1,
-                f"{EXCLUSION_CONSTANT} excludes {MODE_FIELD!r} from the "
-                "cache key: relaxed-mode results are only statistically "
-                "equivalent to exact ones, so sharing cache entries "
-                "across modes serves wrong numbers silently -- the mode "
-                "must stay in the key",
-            )
-
-    # -- 2./3. key-deriving functions in the cache layer ---------------
+    # -- key-deriving functions in the cache layer --------------------
 
     def _check_key_functions(
         self, cache: ModuleSummary, fields: set[str]

@@ -1,14 +1,13 @@
 """Whole-program model: per-module summaries and the project call graph.
 
 File checkers see one file at a time, which is exactly why they
-cannot express this repository's hardest invariants -- "every engine
-consumes every knob", "nothing impure reaches the cache key through
-*any* call chain".  This module builds the cross-module view those
+cannot express this repository's hardest invariants -- "nothing
+impure reaches the cache key through *any* call chain".  This module builds the cross-module view those
 passes run on:
 
 * :class:`ModuleSummary` -- one digest of a parsed module: functions
   with their call sites and attribute reads, classes with their
-  (dataclass) fields, canonicalized imports and string-set constants.
+  (dataclass) fields and canonicalized imports.
 * :class:`ProjectGraph` -- the summaries of every linted file plus a
   resolved call graph over them: edges between project functions
   (``module.Class.method`` qualnames) and canonical external callee
@@ -48,7 +47,7 @@ class CallSite:
     ``np.zeros``, ``run_fast``); resolution to canonical or project
     names happens in :class:`ProjectGraph` where the import maps of
     every module are available.  ``str_arg`` records a literal first
-    argument (``payload.pop("engine", ...)``) for policy checkers.
+    argument (``payload.pop("rng_mode", ...)``) for policy checkers.
     """
 
     target: str
@@ -93,8 +92,6 @@ class FunctionSummary:
     calls: tuple[CallSite, ...]
     #: Attribute names read anywhere in the body (any receiver).
     attr_reads: frozenset[str]
-    #: Attribute names read specifically off ``self``.
-    self_reads: frozenset[str]
 
 
 @dataclass
@@ -106,9 +103,6 @@ class ModuleSummary:
     imports: dict[str, str]
     functions: dict[str, FunctionSummary]
     classes: dict[str, ClassSummary]
-    module_attr_reads: frozenset[str]
-    #: Module-level ``NAME = {"a", "b"}`` string-collection constants.
-    str_sets: dict[str, tuple[str, ...]]
     shadowed_builtins: frozenset[str]
 
 
@@ -126,26 +120,6 @@ def _dotted_path(node: ast.expr) -> str | None:
         return None
     parts.append(node.id)
     return ".".join(reversed(parts))
-
-
-def _literal_str_set(node: ast.expr) -> tuple[str, ...] | None:
-    """String elements of a set/frozenset/tuple/list display (or None)."""
-    if isinstance(node, ast.Call):
-        callee = node.func
-        name = callee.id if isinstance(callee, ast.Name) else (
-            callee.attr if isinstance(callee, ast.Attribute) else ""
-        )
-        if name != "frozenset" or len(node.args) != 1:
-            return None
-        node = node.args[0]
-    if not isinstance(node, (ast.Set, ast.Tuple, ast.List)):
-        return None
-    values: list[str] = []
-    for elt in node.elts:
-        if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
-            return None
-        values.append(elt.value)
-    return tuple(values)
 
 
 def _class_fields(node: ast.ClassDef) -> tuple[FieldSummary, ...]:
@@ -192,12 +166,9 @@ def _function_summary(
 ) -> FunctionSummary:
     calls: list[CallSite] = []
     attr_reads: set[str] = set()
-    self_reads: set[str] = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             attr_reads.add(sub.attr)
-            if isinstance(sub.value, ast.Name) and sub.value.id == "self":
-                self_reads.add(sub.attr)
         elif isinstance(sub, ast.Call):
             target = _dotted_path(sub.func)
             if target is None:
@@ -225,7 +196,6 @@ def _function_summary(
         col=node.col_offset + 1,
         calls=tuple(calls),
         attr_reads=frozenset(attr_reads),
-        self_reads=frozenset(self_reads),
     )
 
 
@@ -302,29 +272,12 @@ def summarize_context(ctx: FileContext) -> ModuleSummary:
     tree = ctx.tree
     visitor = _ModuleVisitor()
     visitor.visit(tree)
-    module_attr_reads = {
-        node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
-    str_sets: dict[str, tuple[str, ...]] = {}
-    for stmt in tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-        ):
-            values = _literal_str_set(stmt.value)
-            if values is not None:
-                str_sets[stmt.targets[0].id] = values
     return ModuleSummary(
         path=ctx.path,
         module=ctx.module,
         imports=ctx.imports.aliases,
         functions=visitor.functions,
         classes=visitor.classes,
-        module_attr_reads=frozenset(module_attr_reads),
-        str_sets=str_sets,
         shadowed_builtins=ctx.shadowed_builtins,
     )
 
@@ -426,10 +379,6 @@ class ProjectGraph:
         ]
         return hits[0] if len(hits) == 1 else None
 
-    def module_functions(self, summary: ModuleSummary) -> list[str]:
-        """Qualified names of every function defined in ``summary``."""
-        return [f"{summary.module}.{q}" for q in summary.functions]
-
     def callees(self, qualified: str) -> frozenset[str]:
         """Project-internal callees of one function."""
         return self._internal.get(qualified, frozenset())
@@ -479,17 +428,6 @@ class ProjectGraph:
                     nxt.append(callee)
             queue = nxt
         return None
-
-    def read_closure(self, summary: ModuleSummary) -> frozenset[str]:
-        """Attribute names read by a module's functions *and* every
-        project function reachable from them -- the "what does this
-        engine consume, including through helpers" question."""
-        roots = self.module_functions(summary)
-        reads: set[str] = set(summary.module_attr_reads)
-        for qualified in self.reachable(roots):
-            _, fn = self.functions[qualified]
-            reads.update(fn.attr_reads)
-        return frozenset(reads)
 
     def iter_functions(
         self,

@@ -10,19 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CACHE_KEY_EXCLUDED_FIELDS", "SimulationParams"]
-
-#: Fields excluded from :func:`repro.exec.cache.cache_key`.  The two
-#: exact engines are bit-for-bit identical, so *which* engine computed
-#: a result must not split the cache key space -- a sweep run with the
-#: fast engine has to hit entries written by the reference one.
-#: ``rng_mode`` is deliberately **not** here: relaxed-mode results are
-#: only statistically equivalent to exact ones, so they must never be
-#: served from (or poison) an exact-mode cache entry.  Every other
-#: field participates in the key; the RPR101/RPR105 lint passes
-#: cross-check this declaration against the cache layer's actual
-#: exclusions, so policy changes happen here, on the record.
-CACHE_KEY_EXCLUDED_FIELDS = frozenset({"engine"})
+__all__ = ["SimulationParams"]
 
 
 @dataclass(frozen=True)
@@ -75,33 +63,22 @@ class SimulationParams:
         knob exists to demonstrate that).  The two phases use disjoint
         halves of the virtual channels for deadlock freedom, so it
         needs ``virtual_channels >= 2``.  Folded Clos only.
-    engine:
-        Exact engine: ``"fast"`` (default;
-        :mod:`repro.simulation.fastpath` -- per-destination output
-        candidates flattened into CSR index arrays, the event heap
-        replaced by a calendar-queue wheel) or ``"reference"``
-        (:meth:`~repro.simulation.engine.Simulator.run_reference`,
-        kept as the oracle for the differential test suite).  The two
-        are bit-for-bit identical (same RNG call order, same
-        :class:`~repro.simulation.stats.SimResult`, same observer
-        callbacks; enforced by ``tests/test_fastpath_differential.py``),
-        so this knob trades nothing but wall time and is excluded from
-        :func:`repro.exec.cache.cache_key`.
     rng_mode:
-        ``"exact"`` (default) consumes one shared sequential
-        ``random.Random`` stream, making every engine bit-for-bit
-        reproducible -- publishable numbers use this.  ``"relaxed"``
-        switches to the counter-based per-packet RNG
+        The engine selector.  ``"exact"`` (default) runs the exact
+        engine (:func:`repro.simulation.fastpath.run_fast`), which
+        consumes one shared sequential ``random.Random`` stream and is
+        bit-for-bit reproducible -- publishable numbers use this.
+        ``"relaxed"`` switches to the counter-based per-packet RNG
         (:mod:`repro.accel.rng`) and the fully batched relaxed engine
         (:mod:`repro.accel.relaxed`): results are deterministic for a
         given seed but **not** bit-for-bit comparable to exact-mode
         runs -- only statistically equivalent, which
-        ``tests/test_relaxed_rng_equivalence.py`` enforces.  Because
-        results differ, this field **participates in the result-cache
-        key** (unlike ``engine``); the RPR105 lint pass guards that.
-        Relaxed mode supports only the paper's Table 2 arbitration
-        defaults (``arbiter="random"``, ``up_selection="random"``) and
-        refuses ``engine="reference"``.
+        ``tests/test_relaxed_rng_equivalence.py`` enforces.  Like every
+        field, it is part of the result-cache key
+        (:func:`repro.exec.cache.cache_key`), so relaxed results never
+        alias exact ones; the RPR105 lint pass guards that.  Relaxed
+        mode supports only the paper's Table 2 arbitration defaults
+        (``arbiter="random"``, ``up_selection="random"``).
     seed:
         Master RNG seed (traffic, ECMP choices, arbitration).
     """
@@ -109,7 +86,7 @@ class SimulationParams:
     measure_cycles: int = 10_000
     warmup_cycles: int = 2_000
     virtual_channels: int = 4
-    buffer_packets: int = 4  # repro: allow-RPR101 -- consumed in Simulator.__init__'s buffer construction; the fast engine reuses that pre-built state
+    buffer_packets: int = 4
     packet_phits: int = 16
     link_latency: int = 1
     minimal_routing: bool = True
@@ -117,9 +94,8 @@ class SimulationParams:
     arbiter: str = "random"
     up_selection: str = "random"
     valiant: bool = False
-    engine: str = "fast"  # repro: allow-RPR101 -- engine-selection knob read only by the Simulator.run() dispatcher (via engine_name), never by an engine loop; excluded from the cache key because results are identical
-    rng_mode: str = "exact"  # repro: allow-RPR101 -- mode-selection knob read by the run() dispatcher via engine_name; the exact engines predate it by definition, and unlike engine it stays IN the cache key (results are not bit-for-bit)
-    seed: int = 0  # repro: allow-RPR101 -- consumed in Simulator.__init__'s RNG construction, shared verbatim by both exact engines
+    rng_mode: str = "exact"
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.measure_cycles < 1:
@@ -151,34 +127,20 @@ class SimulationParams:
                 "Valiant routing needs at least 2 virtual channels "
                 "(one class per phase)"
             )
-        if self.engine not in ("fast", "reference"):
-            raise ValueError(
-                f"engine must be 'fast' or 'reference', "
-                f"got {self.engine!r}"
-            )
         if self.rng_mode not in ("exact", "relaxed"):
             raise ValueError(
                 f"rng_mode must be 'exact' or 'relaxed', "
                 f"got {self.rng_mode!r}"
             )
-        if self.rng_mode == "relaxed":
-            if self.engine == "reference":
-                raise ValueError(
-                    "rng_mode='relaxed' runs only on the batched relaxed "
-                    "engine; engine='reference' is exact-only"
-                )
-            if self.arbiter != "random" or self.up_selection != "random":
-                raise ValueError(
-                    "rng_mode='relaxed' supports only the paper's random "
-                    "arbitration and random up-selection "
-                    f"(got arbiter={self.arbiter!r}, "
-                    f"up_selection={self.up_selection!r})"
-                )
-
-    @property
-    def engine_name(self) -> str:
-        """Resolved engine: ``"relaxed"`` in relaxed mode, else ``engine``."""
-        return "relaxed" if self.rng_mode == "relaxed" else self.engine
+        if self.rng_mode == "relaxed" and (
+            self.arbiter != "random" or self.up_selection != "random"
+        ):
+            raise ValueError(
+                "rng_mode='relaxed' supports only the paper's random "
+                "arbitration and random up-selection "
+                f"(got arbiter={self.arbiter!r}, "
+                f"up_selection={self.up_selection!r})"
+            )
 
     @property
     def horizon(self) -> int:

@@ -28,19 +28,24 @@ Terminals inject Bernoulli traffic at a configured *normalized load*
 drained through a 1 phit/cycle injection link; ejection links model
 the symmetric sink.  Statistics follow
 :class:`~repro.simulation.stats.SimStats`.
+
+This module holds the state every engine shares: the
+:class:`Simulator` (channels, routing, run start and end) and the
+convenience wrappers.  The run loops live in
+:mod:`repro.simulation.fastpath` (exact) and :mod:`repro.accel.relaxed`
+(relaxed); ``tests/oracle_engine.py`` keeps the readable reference
+event loop the exact engine is proven bit-for-bit equal to.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import random
 from typing import Callable, Iterable
 
 import numpy as np
 
 from ..obs.counters import RunCounters
-from ..obs.hooks import SimObserver, begin_run
+from ..obs.hooks import SimObserver
 from ..routing.updown import UpDownRouter
 from ..topologies.base import FoldedClos, Link
 from ..topologies.packed import PackedFoldedClos
@@ -322,23 +327,6 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------
-    # Virtual-channel classes
-    # ------------------------------------------------------------------
-    def _vc_class(self, packet: Packet) -> tuple[int, int]:
-        """Half-open VC index range the packet may occupy downstream.
-
-        * Valiant: lower half during the randomization phase, upper
-          half afterwards (each phase's up/down sub-route is acyclic;
-          the class jump orders the phases);
-        * otherwise all VCs (up/down needs none).
-        """
-        vcs = self.params.virtual_channels
-        if self.params.valiant:
-            half = vcs // 2
-            return (0, half) if packet.via is not None else (half, vcs)
-        return 0, vcs
-
-    # ------------------------------------------------------------------
     # Routing helper
     # ------------------------------------------------------------------
     def _output_candidates(self, switch: int, packet: Packet) -> list[int]:
@@ -377,104 +365,38 @@ class Simulator:
     # Run loop
     # ------------------------------------------------------------------
     def run(self) -> SimResult:
-        """Execute the run through the engine the params select.
+        """Execute the run through the engine ``params.rng_mode`` selects.
 
-        ``params.engine_name`` resolves to one of three engines:
-
-        * ``"fast"`` (the default) -- :func:`repro.simulation.fastpath
+        * ``"exact"`` (the default) -- :func:`repro.simulation.fastpath
           .run_fast`: precomputed CSR candidate tables driving a
-          calendar-queue event wheel;
-        * ``"reference"`` -- :meth:`run_reference`;
-        * ``"relaxed"`` (selected by ``rng_mode="relaxed"``) --
-          :func:`repro.accel.relaxed.run_relaxed`: counter-based
-          per-packet RNG and fully batched arbitration, deterministic
-          per seed but only *statistically* equivalent to the exact
-          engines (``tests/test_relaxed_rng_equivalence.py``).
-
-        The two exact engines are bit-for-bit identical (same RNG
-        stream, same :class:`SimResult`, same observer callbacks, same
-        post-run channel state) -- the reference engine is kept as the
-        oracle for the conformance matrix in
-        ``tests/test_fastpath_differential.py``.
+          calendar-queue event wheel, bit-for-bit equal to the readable
+          reference engine the differential tests keep as their oracle
+          (``tests/oracle_engine.py``);
+        * ``"relaxed"`` -- :func:`repro.accel.relaxed.run_relaxed`:
+          counter-based per-packet RNG and fully batched arbitration,
+          deterministic per seed but only *statistically* equivalent to
+          the exact engine (``tests/test_relaxed_rng_equivalence.py``).
         """
-        engine = self.params.engine_name
-        if engine == "relaxed":
+        if self.params.rng_mode == "relaxed":
             from ..accel.relaxed import run_relaxed
 
             return run_relaxed(self)
-        if engine == "fast":
-            from .fastpath import run_fast
+        from .fastpath import run_fast
 
-            return run_fast(self)
-        return self.run_reference()
+        return run_fast(self)
 
-    def run_reference(self) -> SimResult:
+    def _start_stats(self) -> SimStats:
+        """A fresh :class:`SimStats` for a run, kept as ``_stats``."""
         params = self.params
         stats = SimStats(warmup=params.warmup_cycles, horizon=params.horizon)
         self._stats = stats
-        rng = self.rng
-        horizon = params.horizon
-        packet_phits = params.packet_phits
-        rate = self.load / packet_phits  # packets / terminal / cycle
+        return stats
 
-        self._heap: list[tuple[int, int, int, int, int]] = []
-        self._seq = 0
-        self._arb_marks: set[tuple[int, int]] = set()
-        (
-            self._counters,
-            self._on_inject,
-            self._on_drop,
-            self._on_arbitrate,
-            self._on_hop,
-            self._on_eject,
-        ) = begin_run(self)
-        if self._counters is not None:
-            self._counters.grant_lists()
-
-        # Seed generation events.  Flow workloads (duck-typed on the
-        # traffic's ``flow_schedule``) release pre-scheduled packets
-        # and consume no RNG here, keeping the exact engines
-        # bit-for-bit identical in flow mode too.
-        log1m = math.log1p(-rate) if rate < 1.0 else None
-        schedule = getattr(self.traffic, "flow_schedule", None)
-        self._flow_schedule = schedule
-        if schedule is not None:
-            self._flow_cursor = [0] * self.topo.num_terminals
-            for terminal, row in enumerate(schedule.releases):
-                if row and row[0][0] <= horizon:
-                    self._push(row[0][0], _EV_GEN, terminal, 0)
-        else:
-            for terminal in range(self.topo.num_terminals):
-                silent = getattr(self.traffic, "is_silent", None)
-                if silent is not None and silent(terminal):
-                    continue
-                first = self._next_gap(rng, rate, log1m) - 1
-                if first <= horizon:
-                    self._push(first, _EV_GEN, terminal, 0)
-
-        heap = self._heap
-        while heap:
-            time, _, kind, a, b = heapq.heappop(heap)
-            if time > horizon:
-                break
-            if kind == _EV_ARB:
-                self._arb_marks.discard((a, time))
-                self._arbitrate(a, time)
-            elif kind == _EV_CREDIT:
-                slots = self.ch_slots[a]
-                assert slots is not None
-                slots[b] += 1
-                src = self.ch_src[a]
-                if src >= 0:
-                    self._schedule_arb(src, time)
-            else:  # _EV_GEN
-                if self._flow_schedule is not None:
-                    self._release_flows(a, time, horizon)
-                else:
-                    self._generate(a, time, rate, log1m, horizon)
-
+    def _finish_run(self) -> SimResult:
+        """The run's :class:`SimResult`, shown to the observer's
+        ``on_run_end`` before it is returned."""
         result = SimResult.from_stats(
-            stats,
+            self._stats,
             offered_load=self.load,
             num_terminals=self.topo.num_terminals,
             traffic=self.traffic.name,
@@ -569,215 +491,6 @@ class Simulator:
             self.ch_busy_cycles[cid] / window for cid in self.eject_channel
         ]
 
-    # ------------------------------------------------------------------
-    # Event helpers
-    # ------------------------------------------------------------------
-    def _push(self, time: int, kind: int, a: int, b: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, a, b))
-
-    def _schedule_arb(self, switch: int, time: int) -> None:
-        mark = (switch, time)
-        if mark in self._arb_marks:
-            return
-        self._arb_marks.add(mark)
-        self._push(time, _EV_ARB, switch, 0)
-
-    @staticmethod
-    def _next_gap(rng: random.Random, rate: float, log1m: float | None) -> int:
-        if log1m is None:
-            return 1
-        u = rng.random()
-        return int(math.log(u) / log1m) + 1 if u > 0.0 else 1
-
-    def _generate(
-        self,
-        terminal: int,
-        time: int,
-        rate: float,
-        log1m: float | None,
-        horizon: int,
-    ) -> None:
-        try:
-            dst = self.traffic.destination(terminal, self.rng)
-        except LookupError:
-            return
-        packet = Packet(terminal, dst, time, serial=self._next_serial)
-        self._next_serial += 1
-        self._admit(packet, time)
-        nxt = time + self._next_gap(self.rng, rate, log1m)
-        if nxt <= horizon:
-            self._push(nxt, _EV_GEN, terminal, 0)
-
-    def _release_flows(self, terminal: int, time: int, horizon: int) -> None:
-        """Release every scheduled packet of ``terminal`` due now.
-
-        Flow mode replaces Bernoulli generation with per-terminal GEN
-        chains walking :attr:`FlowSchedule.releases`: each GEN event
-        releases all packets whose start equals ``time`` (serials are
-        pre-assigned by the schedule, so the serial->flow mapping is
-        engine-independent) and re-arms at the next distinct release
-        time.  No RNG is consumed for arrivals or destinations.
-        """
-        row = self._flow_schedule.releases[terminal]
-        i = self._flow_cursor[terminal]
-        while i < len(row) and row[i][0] == time:
-            _, dst, serial = row[i]
-            if serial >= self._next_serial:
-                self._next_serial = serial + 1
-            self._admit(Packet(terminal, dst, time, serial=serial), time)
-            i += 1
-        self._flow_cursor[terminal] = i
-        if i < len(row) and row[i][0] <= horizon:
-            self._push(row[i][0], _EV_GEN, terminal, 0)
-
-    def _admit(self, packet: Packet, time: int) -> None:
-        """Count, (maybe) detour, and inject-or-drop one new packet."""
-        terminal = packet.src
-        dst = packet.dst
-        if packet.serial < self.trace_limit:
-            self.traces[packet.serial] = [(time, "generate", terminal)]
-        self._stats.on_generated(time)
-        if self.params.valiant:
-            self._assign_valiant_via(packet)
-        hosts = self.topo.hosts_per_leaf
-        if self.router.min_ascent(0, terminal // hosts, dst // hosts) < 0:
-            self.unroutable_packets += 1
-            if self._counters is not None:
-                self._counters.drops += 1
-            if self._on_drop is not None:
-                self._on_drop(time, terminal, packet)
-        else:
-            cid = self.inject_channel[terminal]
-            queue = self.ch_queues[cid][0]
-            queue.append((time, packet))
-            if len(queue) > self.max_inject_queue:
-                self.max_inject_queue = len(queue)
-            if self._counters is not None:
-                self._counters.inject(time, len(queue))
-            if self._on_inject is not None:
-                self._on_inject(time, packet, len(queue))
-            if len(queue) == 1:
-                self._schedule_arb(self.ch_dst[cid], max(time, self.ch_blocked[cid]))
-
-    def _assign_valiant_via(self, packet: Packet) -> None:
-        """Pick a random intermediate with both phases routable."""
-        hosts = self.topo.hosts_per_leaf
-        src_leaf = packet.src // hosts
-        dst_leaf = packet.dst // hosts
-        for _ in range(8):
-            via = self.rng.randrange(self.topo.num_terminals)
-            via_leaf = via // hosts
-            if (
-                self.router.min_ascent(0, src_leaf, via_leaf) >= 0
-                and self.router.min_ascent(0, via_leaf, dst_leaf) >= 0
-            ):
-                packet.via = via
-                return
-        # No routable intermediate found; fall back to direct routing
-        # (the injection-time reachability check still applies).
-        packet.via = None
-
-    # ------------------------------------------------------------------
-    # Arbitration
-    # ------------------------------------------------------------------
-    def _arbitrate(self, switch: int, time: int) -> None:
-        """Separable request/grant allocation for one switch-cycle.
-
-        Runs ``arbitration_iterations`` rounds (Table 2 uses 1): each
-        round, every eligible head packet requests one viable output
-        (random or adaptive per config) and each output grants one
-        random requester.  An input *channel* moves at most one packet
-        per cycle regardless of how many VCs it holds (crossbar input
-        bandwidth), and granted outputs turn busy, so later rounds only
-        match the leftovers.
-        """
-        rng = self.rng
-        ch_busy = self.ch_busy
-        ch_slots = self.ch_slots
-        counters = self._counters
-        counting = counters is not None or self._on_arbitrate is not None
-        total_requests = 0
-        granted_inputs: set[int] = set()
-        any_grant = False
-        for _ in range(self.params.arbitration_iterations):
-            requests: dict[int, list[tuple[int, int, Packet]]] = {}
-            for cid, vc in self.in_units[switch]:
-                if cid in granted_inputs:
-                    continue
-                if self.ch_kind[cid] == _INJECT and self.ch_blocked[cid] > time:
-                    continue
-                queue = self.ch_queues[cid][vc]
-                if not queue:
-                    continue
-                ready, packet = queue[0]
-                if ready > time:
-                    continue
-                candidates = self._output_candidates(switch, packet)
-                viable = []
-                vc_lo, vc_hi = self._vc_class(packet)
-                for out in candidates:
-                    if ch_busy[out] > time:
-                        continue
-                    slots = ch_slots[out]
-                    if slots is not None and not any(
-                        slots[w] > 0 for w in range(vc_lo, vc_hi)
-                    ):
-                        continue
-                    viable.append(out)
-                if not viable:
-                    continue
-                if len(viable) == 1:
-                    out = viable[0]
-                elif self.params.up_selection == "adaptive":
-                    out = self._most_credited(viable, vc_lo, vc_hi, rng)
-                else:
-                    out = rng.choice(viable)
-                requests.setdefault(out, []).append((cid, vc, packet))
-
-            if not requests:
-                break
-            if counting:
-                total_requests += sum(len(c) for c in requests.values())
-            rotating = self.params.arbiter == "rotating"
-            for out, contenders in requests.items():
-                if len(contenders) == 1:
-                    cid, vc, packet = contenders[0]
-                elif rotating:
-                    cid, vc, packet = self._rotate_pick(out, contenders)
-                else:
-                    cid, vc, packet = rng.choice(contenders)
-                self._grant(switch, cid, vc, packet, out, time)
-                granted_inputs.add(cid)
-                any_grant = True
-        if total_requests:
-            # Each granted input cid is unique within a pass, so the
-            # set size is the grant count -- no per-grant accounting on
-            # the disabled path.
-            if counters is not None:
-                counters.arbitration(total_requests, len(granted_inputs))
-            if self._on_arbitrate is not None:
-                self._on_arbitrate(
-                    time, switch, total_requests, len(granted_inputs)
-                )
-        if any_grant:
-            self._schedule_arb(switch, time + 1)
-
-    def _rotate_pick(
-        self, out: int, contenders: list[tuple[int, int, "Packet"]]
-    ) -> tuple[int, int, "Packet"]:
-        """Round-robin grant: lowest contender above the output's pointer."""
-        pointers = getattr(self, "_arb_pointers", None)
-        if pointers is None:
-            pointers = self._arb_pointers = {}
-        pointer = pointers.get(out, -1)
-        ordered = sorted(contenders, key=lambda c: (c[0], c[1]))
-        chosen = next(
-            (c for c in ordered if c[0] > pointer), ordered[0]
-        )
-        pointers[out] = chosen[0]
-        return chosen
-
     def _most_credited(
         self,
         viable: list[int],
@@ -801,89 +514,6 @@ class Simulator:
             elif credit == best_credit:
                 best.append(out)
         return best[0] if len(best) == 1 else rng.choice(best)
-
-    def _grant(
-        self,
-        switch: int,
-        in_cid: int,
-        in_vc: int,
-        packet: Packet,
-        out: int,
-        time: int,
-    ) -> None:
-        params = self.params
-        phits = params.packet_phits
-        latency = params.link_latency
-        rng = self.rng
-
-        del self.ch_queues[in_cid][in_vc][0]
-        self.ch_busy[out] = time + phits
-        # Utilization accounting: busy cycles within the measurement
-        # window (clipped at both ends).
-        lo = max(time, params.warmup_cycles)
-        hi = min(time + phits, params.horizon)
-        if hi > lo:
-            self.ch_busy_cycles[out] += hi - lo
-        # Wake this switch when the output port frees again.
-        self._schedule_arb(switch, time + phits)
-
-        if packet.serial < self.trace_limit and packet.serial >= 0:
-            trace = self.traces.get(packet.serial)
-            if trace is not None:
-                peer = self.ch_peer[out]
-                kind_name = (
-                    "eject" if self.ch_kind[out] == _EJECT else "forward"
-                )
-                trace.append((time, kind_name, peer))
-
-        counters = self._counters
-        if counters is not None:
-            counters.grant(time, out)
-        kind = self.ch_kind[out]
-        if kind == _EJECT:
-            delivered = time + latency + phits - 1
-            self._stats.on_delivered(packet, delivered, phits)
-            if counters is not None:
-                counters.eject(delivered - packet.created, packet.hops)
-            if self._on_eject is not None:
-                self._on_eject(
-                    time, packet, delivered - packet.created, phits
-                )
-        else:
-            slots = self.ch_slots[out]
-            assert slots is not None
-            vc_lo, vc_hi = self._vc_class(packet)
-            free_vcs = [
-                wi for wi in range(vc_lo, vc_hi) if slots[wi] > 0
-            ]
-            w = free_vcs[0] if len(free_vcs) == 1 else rng.choice(free_vcs)
-            slots[w] -= 1
-            packet.hops += 1
-            queue = self.ch_queues[out][w]
-            queue.append((time + latency, packet))
-            if counters is not None:
-                counters.hop(slots[w], len(queue))
-            if self._on_hop is not None:
-                self._on_hop(
-                    time,
-                    packet,
-                    switch,
-                    self.ch_dst[out],
-                    w,
-                    slots[w],
-                    len(queue),
-                )
-            self._schedule_arb(self.ch_dst[out], time + latency)
-
-        if self.ch_kind[in_cid] == _LINK:
-            self._push(time + phits, _EV_CREDIT, in_cid, in_vc)
-        else:  # injection link is busy until the tail leaves the host
-            self.ch_blocked[in_cid] = time + phits
-            if packet.injected is None:
-                packet.injected = time
-            self._stats.on_injected(time)
-            if self.ch_queues[in_cid][0]:
-                self._schedule_arb(switch, time + phits)
 
 
 def simulate(

@@ -5,7 +5,8 @@ every hop decision from router objects (bitmask scans, dict lookups,
 per-hop list building) and drove the schedule through a Python
 ``heapq``.  Profiling shows those two costs dominate a run.  This
 module removes both while staying **bit-for-bit identical** to the
-reference engine:
+reference engine the test suite keeps as its oracle
+(``tests/oracle_engine.py``):
 
 * **CSR candidate tables** -- one precomputation pass flattens every
   switch's per-destination output candidates (including the up/down
@@ -33,7 +34,7 @@ Equivalence contract (enforced by ``tests/test_fastpath_differential
 .py``): same RNG call order and arguments, same
 :class:`~repro.simulation.stats.SimResult`, same per-link busy-cycle
 counters, same packet traces and the same observer callback stream as
-:meth:`Simulator.run_reference`.  The per-candidate order feeds
+the reference engine.  The per-candidate order feeds
 ``rng.choice``, so the table must list candidates exactly as the
 reference's :meth:`UpDownRouter.next_hops` does.  It tests the same
 reach-mask bits over each switch's neighbors in the router's own
@@ -62,7 +63,7 @@ from ..obs.hooks import begin_run
 from ..routing.table import CandidateRows, CsrTable
 from .engine import _EJECT, _EV_ARB, _EV_CREDIT, _EV_GEN, _INJECT, _LINK
 from .packet import Packet
-from .stats import SimResult, SimStats
+from .stats import SimResult
 
 __all__ = ["EventWheel", "build_candidate_table", "run_fast"]
 
@@ -334,14 +335,14 @@ def _folded_clos_table(sim, lookup) -> CsrTable:
 def run_fast(sim) -> SimResult:
     """Execute ``sim`` through the precomputed-route engine.
 
-    Bit-for-bit mirror of :meth:`Simulator.run_reference`; every block
-    below is annotated with the reference helper it inlines.  Shares
+    Bit-for-bit mirror of the reference engine in
+    ``tests/oracle_engine.py``; every block below is annotated with the
+    reference helper it inlines.  Shares
     the simulator's channel state lists, so post-run inspection
     (``link_utilization`` etc.) works identically.
     """
     params = sim.params
-    stats = SimStats(warmup=params.warmup_cycles, horizon=params.horizon)
-    sim._stats = stats
+    stats = sim._start_stats()
     rng = sim.rng
     horizon = params.horizon
     phits = params.packet_phits
@@ -444,7 +445,7 @@ def run_fast(sim) -> SimResult:
         c_vc_depth = c_credits = c_latency = c_hops = []
         n_cls = 0
 
-    # ---- seed generation events (mirrors Simulator.run) ----------------
+    # ---- seed generation events (mirrors the reference loop) -----------
     # Flow workloads (duck-typed on ``flow_schedule``) seed one GEN
     # chain per terminal at its first release time and consume no RNG
     # for arrivals or destinations -- bit-for-bit with the reference.
@@ -484,7 +485,7 @@ def run_fast(sim) -> SimResult:
             i += 1
 
             if kind == _EV_ARB:
-                # ==== mirrors Simulator._arbitrate =======================
+                # ==== mirrors the reference _arbitrate ====================
                 switch = a
                 arb_marks.discard(t * n_sw + switch)
                 total_requests = 0
@@ -602,7 +603,7 @@ def run_fast(sim) -> SimResult:
                         else:
                             cid, vc, packet, queue = choice(contenders)
 
-                        # ==== mirrors Simulator._grant ===================
+                        # ==== mirrors the reference _grant ===============
                         del queue[0]
                         busy_until = t + phits
                         ch_busy[out] = busy_until
@@ -747,10 +748,10 @@ def run_fast(sim) -> SimResult:
                         arb_marks.add(mark)
                         bucket.append((_EV_ARB, src, 0))
 
-            else:  # _EV_GEN -- mirrors Simulator._generate
+            else:  # _EV_GEN -- mirrors the reference _generate
                 terminal = a
                 if flow_rows is not None:
-                    # ---- mirrors Simulator._release_flows ----
+                    # ---- mirrors the reference _release_flows ----
                     row = flow_rows[terminal]
                     j = flow_cursor[terminal]
                     while j < len(row) and row[j][0] == t:
@@ -881,14 +882,4 @@ def run_fast(sim) -> SimResult:
         counters.arb_passes += arb_passes
         counters.arb_requests += arb_requests
         counters.arb_grants += arb_grants
-    result = SimResult.from_stats(
-        stats,
-        offered_load=sim.load,
-        num_terminals=num_terminals,
-        traffic=traffic.name,
-        topology=topo.name,
-        unroutable_packets=sim.unroutable_packets,
-    )
-    if sim.observer is not None:
-        sim.observer.on_run_end(sim, result)
-    return result
+    return sim._finish_run()

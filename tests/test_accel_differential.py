@@ -258,13 +258,15 @@ class TestRelaxedNoPerturbation:
 
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_exact_engines_unperturbed(self, golden_topo, golden, engine):
+        from oracle_engine import engine_context
         from repro.simulation.config import SimulationParams
         from repro.simulation.engine import load_sweep
 
-        params = SimulationParams(
-            measure_cycles=400, warmup_cycles=100, seed=3, engine=engine
-        )
-        results = load_sweep(golden_topo, "uniform", [0.2, 0.5, 0.8], params)
+        params = SimulationParams(measure_cycles=400, warmup_cycles=100, seed=3)
+        with engine_context(engine):
+            results = load_sweep(
+                golden_topo, "uniform", [0.2, 0.5, 0.8], params
+            )
         assert [r.core_dict() for r in results] == golden
 
     def test_relaxed_differs_from_exact_pins(self, relaxed_run_first, golden):

@@ -25,14 +25,16 @@ class TestParser:
         assert not args.no_cache
 
     @pytest.mark.parametrize("command", [["simulate", "rfc"], ["workload"]])
-    def test_engine_choices_are_the_exact_engines(self, command, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            build_parser().parse_args(command + ["--engine", "vectorized"])
-        assert exc_info.value.code == 2
-        assert "invalid choice: 'vectorized'" in capsys.readouterr().err
+    def test_engine_flag_is_rejected(self, command, capsys):
+        """``--rng-mode`` is the one engine selector; ``--engine`` is
+        gone from both simulating subcommands."""
         for engine in ("fast", "reference"):
-            args = build_parser().parse_args(command + ["--engine", engine])
-            assert args.engine == engine
+            with pytest.raises(SystemExit) as exc_info:
+                build_parser().parse_args(command + ["--engine", engine])
+            assert exc_info.value.code == 2
+            assert "unrecognized arguments: --engine" in (
+                capsys.readouterr().err
+            )
 
     def test_experiment_exec_flags(self):
         args = build_parser().parse_args(
@@ -83,6 +85,16 @@ class TestCommands:
             "--load", "0.3", "--cycles", "300", "--warmup", "100",
         ]) == 0
         assert "accepted" in capsys.readouterr().out
+
+    def test_workload_summary_names_rng_mode(self, capsys):
+        assert main([
+            "workload", "--pattern", "rpc", "--topology", "cft",
+            "--radix", "4", "--levels", "2", "--duration", "100",
+            "--cycles", "300",
+        ]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert "rng_mode=exact" in header
+        assert "engine=" not in header
 
     def test_experiment(self, capsys):
         assert main(["experiment", "sec5"]) == 0

@@ -29,9 +29,12 @@ contracts:
   RNG stream favors, so it changes results; but it must change them
   *identically* in both exact engines.
 * **Exception parity** -- malformed configurations raise the same
-  validation errors whatever engine they select, and a traffic pattern
-  that blows up mid-run propagates the same exception at the same
-  generation point through both exact engines.
+  validation errors whatever ``rng_mode`` (engine) they select, and a
+  traffic pattern that blows up mid-run propagates the same exception
+  at the same generation point through both exact engines.
+
+"Both exact engines" are the shipped fast engine and the reference
+engine of ``oracle_engine.py``.
 """
 
 import random
@@ -40,6 +43,8 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracle_engine import run_on
 
 from repro.core.rfc import radix_regular_rfc, rfc_with_updown
 from repro.core.ancestors import has_updown_routing_of
@@ -73,10 +78,6 @@ def build(config, engine="fast", observer=None):
     topo = radix_regular_rfc(
         config["radix"], config["n1"], 2, rng=config["seed"]
     )
-    if engine == "relaxed":
-        mode = {"rng_mode": "relaxed"}
-    else:
-        mode = {"engine": engine}
     params = SimulationParams(
         measure_cycles=200,
         warmup_cycles=50,
@@ -85,7 +86,7 @@ def build(config, engine="fast", observer=None):
         packet_phits=config["phits"],
         link_latency=config["latency"],
         seed=config["seed"],
-        **mode,
+        rng_mode="relaxed" if engine == "relaxed" else "exact",
     )
     traffic = make_traffic(
         config["traffic"], topo.num_terminals, rng=config["seed"] + 1
@@ -315,13 +316,13 @@ def test_arbitration_stable_under_unit_permutation(config, perm_seed, arbiter):
         shuffler = random.Random(perm_seed)
         for row in sim.in_units:
             shuffler.shuffle(row)
-        results.append((sim.run(), sim.ch_busy_cycles))
+        results.append((run_on(sim, engine), sim.ch_busy_cycles))
     assert results[0] == results[1]
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    engine=st.sampled_from(["reference", "fast"]),
+    mode=st.sampled_from(["exact", "relaxed"]),
     field=st.sampled_from(
         [
             {"measure_cycles": 0},
@@ -334,25 +335,20 @@ def test_arbitration_stable_under_unit_permutation(config, perm_seed, arbiter):
             {"up_selection": "greedy"},
             {"arbiter": "fifo"},
             {"valiant": True, "virtual_channels": 1},
-            {"engine": "turbo"},
+            {"rng_mode": "turbo"},
         ]
     ),
 )
-def test_malformed_config_parity(engine, field):
+def test_malformed_config_parity(mode, field):
     """Validation failures are engine-independent: same exception
-    type and message whatever engine the config also selects."""
-    overrides = dict(field)
-    if "engine" not in overrides:
-        overrides["engine"] = engine
+    type and message whatever ``rng_mode`` the config also selects."""
     with pytest.raises(ValueError) as exc_info:
-        SimulationParams(**overrides)
-    reference_msg = str(exc_info.value)
-    overrides.pop("engine")
-    if "engine" in field:
+        SimulationParams(**{"rng_mode": mode, **field})
+    if "rng_mode" in field:
         return  # the engine string itself was the malformed field
     with pytest.raises(ValueError) as exc_info2:
-        SimulationParams(engine="reference", **overrides)
-    assert str(exc_info2.value) == reference_msg
+        SimulationParams(**field)
+    assert str(exc_info2.value) == str(exc_info.value)
 
 
 class ExplodingTraffic(TrafficPattern):
@@ -385,12 +381,12 @@ def test_midrun_exception_parity(fuse, seed):
     for engine in ("reference", "fast"):
         topo = radix_regular_rfc(4, 8, 2, rng=seed)
         params = SimulationParams(
-            measure_cycles=150, warmup_cycles=0, seed=seed, engine=engine
+            measure_cycles=150, warmup_cycles=0, seed=seed
         )
         traffic = ExplodingTraffic(topo.num_terminals, fuse)
         sim = Simulator(topo, traffic, 0.5, params)
         try:
-            sim.run()
+            run_on(sim, engine)
             outcomes.append(("completed", traffic.calls))
         except RuntimeError as exc:
             outcomes.append(

@@ -133,21 +133,41 @@ class TestCacheKey:
         assert base not in variants
         assert len(set(variants)) == len(variants)
 
+    #: A valid non-default value of each ``str`` params field.
+    OTHER_STR = {
+        "arbiter": "rotating",
+        "up_selection": "adaptive",
+        "rng_mode": "relaxed",
+    }
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(SimulationParams)]
+    )
+    def test_every_params_field_changes_key(self, cft_4_3, field):
+        """No ``SimulationParams`` field is left out of the key: a run
+        that differs in any one knob never hits another's entry."""
+        default = getattr(PARAMS, field)
+        if isinstance(default, bool):
+            other = not default
+        elif isinstance(default, int):
+            other = default + 1
+        else:
+            other = self.OTHER_STR[field]
+        digest = topology_digest(cft_4_3)
+        changed = PARAMS.scaled(**{field: other})
+        assert cache_key(digest, "uniform", 0.5, changed, 3) != cache_key(
+            digest, "uniform", 0.5, PARAMS, 3
+        )
+
     def test_digest_is_pinned(self):
         """Caches written by earlier releases keep hitting: the key of
-        one fixed point is byte-stable.  Engine selection never enters
-        the payload, so removing an engine knob leaves it unchanged."""
+        one fixed point is byte-stable."""
         topo, _ = rfc_with_updown(8, 16, 3, rng=7)
         digest = topology_digest(topo)
-        expected = (
+        assert cache_key(digest, "uniform", 0.5, SimulationParams(), 3) == (
             "83e9251d500c949855a0c6a47fa27e21"
             "3ec872c6ec0f0c7b7f8b557c6a6a38f9"
         )
-        for params in (
-            SimulationParams(),
-            SimulationParams(engine="reference"),
-        ):
-            assert cache_key(digest, "uniform", 0.5, params, 3) == expected
         # So is the key of a point with a valid fault list.
         links = topo.links()
         assert cache_key(

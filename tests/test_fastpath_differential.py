@@ -1,7 +1,8 @@
 """Differential proof that the fast engine equals the reference engine.
 
-The simulator ships two exact cycle engines -- ``reference`` (the
-oracle) and ``fast`` (:func:`repro.simulation.fastpath.run_fast`).
+The exact engine (:func:`repro.simulation.fastpath.run_fast`) is held
+to the readable reference engine of ``oracle_engine.py`` (the
+oracle).
 Every test here runs the same (topology, traffic, load, params) point
 through both and demands **bit-for-bit** agreement:
 
@@ -30,6 +31,8 @@ from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator
 from repro.simulation.traffic import TrafficPattern, make_traffic
 
+from oracle_engine import run_on
+
 BASE = SimulationParams(measure_cycles=300, warmup_cycles=100, seed=5)
 
 #: The full exact-engine matrix, reference first.
@@ -56,12 +59,12 @@ def run_engines(
             topo,
             traffic,
             load,
-            params.scaled(engine=engine),
+            params,
             removed_links,
             trace_limit=trace_limit,
             observer=MetricsObserver() if with_observer else None,
         )
-        sim.result = sim.run()
+        sim.result = run_on(sim, engine)
         sims.append(sim)
     return sims
 
@@ -259,8 +262,8 @@ class TestEdgeCases:
         sims = []
         for engine in ENGINE_RUNS:
             traffic = _AllSilentTraffic(topo.num_terminals)
-            sim = Simulator(topo, traffic, 0.5, BASE.scaled(engine=engine))
-            sim.result = sim.run()
+            sim = Simulator(topo, traffic, 0.5, BASE)
+            sim.result = run_on(sim, engine)
             sims.append(sim)
         assert_identical(*sims)
         assert sims[0].result.generated_packets == 0

@@ -1,16 +1,10 @@
-"""The RPR10x project passes: engine-parity drift (including the
-seeded-mutation regression against the real tree), dtype/width
-hazards, cache-key taint and observer non-perturbation."""
+"""The RPR10x project passes: the relaxed-mode cache-key policy,
+dtype/width hazards and cache-key taint."""
 
-import shutil
 import textwrap
-from pathlib import Path
 
-import repro
 from repro.lint.checkers.rpr102_dtype_width import DtypeWidthChecker
 from repro.lint.runner import lint_source, run_analysis
-
-SRC_PACKAGE = Path(repro.__file__).resolve().parent
 
 
 def _codes(findings):
@@ -24,156 +18,10 @@ def _write(tmp_path, files):
         path.write_text(textwrap.dedent(source))
 
 
-class TestEngineParityMutation:
-    """A field added to SimulationParams and consumed by only one of
-    the two exact engines must be caught -- the exact drift RPR101
-    exists for, seeded into a copy of the real tree."""
-
-    def _mutated_tree(self, tmp_path):
-        tree = tmp_path / "repro"
-        shutil.copytree(
-            SRC_PACKAGE, tree,
-            ignore=shutil.ignore_patterns("__pycache__"),
-        )
-        config = tree / "simulation" / "config.py"
-        config.write_text(
-            config.read_text().replace(
-                "    seed: int = 0",
-                "    seed: int = 0",
-                1,
-            ).replace(
-                "    valiant: bool = False",
-                "    valiant: bool = False\n    mutation_knob: int = 0",
-                1,
-            )
-        )
-        engine = tree / "simulation" / "engine.py"
-        source = engine.read_text()
-        anchor = (
-            "    def run_reference(self) -> SimResult:\n"
-            "        params = self.params\n"
-        )
-        assert anchor in source
-        # run_reference reads the new knob right after binding params;
-        # the fast engine never reaches run_reference.  (A knob read
-        # only by run_fast is invisible here, because the reference
-        # module reaches run_fast through its dispatch; the
-        # differential matrix catches that drift instead.)
-        engine.write_text(source.replace(
-            anchor, anchor + "        _mutation = params.mutation_knob\n", 1
-        ))
-        return tree
-
-    def test_mutation_is_caught(self, tmp_path):
-        tree = self._mutated_tree(tmp_path)
-        report = run_analysis([tree])
-        hits = [
-            f for f in report.findings
-            if f.code == "RPR101" and "mutation_knob" in f.message
-        ]
-        assert len(hits) == 1
-        (hit,) = hits
-        consumed, never_read = hit.message.split("never read")
-        assert "simulation.engine" in consumed
-        assert "simulation.fastpath" in never_read
-        assert "simulation.engine" not in never_read
-        assert hit.file.endswith("config.py")
-        assert not report.internal_errors
-
-    def test_unmutated_copy_is_clean(self, tmp_path):
-        tree = tmp_path / "repro"
-        shutil.copytree(
-            SRC_PACKAGE, tree,
-            ignore=shutil.ignore_patterns("__pycache__"),
-        )
-        report = run_analysis([tree])
-        assert _codes(report.findings) == []
-        assert not report.internal_errors
-
-
-class TestCachePolicy:
-    FILES = {
-        "proj/__init__.py": "",
-        "proj/simulation/__init__.py": "",
-        "proj/simulation/config.py": """\
-            from dataclasses import dataclass
-
-            CACHE_KEY_EXCLUDED_FIELDS = frozenset({"engine"})
-
-            @dataclass(frozen=True)
-            class SimulationParams:
-                cycles: int = 10
-                engine: str = "fast"
-            """,
-        "proj/simulation/engine.py": """\
-            def run(params):
-                return params.cycles + len(params.engine)
-            """,
-        "proj/simulation/fastpath.py": """\
-            def run_fast(params):
-                return params.cycles + len(params.engine)
-            """,
-        "proj/exec/__init__.py": "",
-        "proj/exec/cache.py": """\
-            import dataclasses
-
-            def cache_key(params):
-                payload = dataclasses.asdict(params)
-                payload.pop("engine", None)
-                return sorted(payload.items())
-            """,
-    }
-
-    def test_declared_policy_is_clean(self, tmp_path):
-        _write(tmp_path, self.FILES)
-        report = run_analysis([tmp_path])
-        assert _codes(report.findings) == []
-
-    def test_missing_declaration_fires(self, tmp_path):
-        files = dict(self.FILES)
-        files["proj/simulation/config.py"] = files[
-            "proj/simulation/config.py"
-        ].replace(
-            'CACHE_KEY_EXCLUDED_FIELDS = frozenset({"engine"})\n', ""
-        )
-        _write(tmp_path, files)
-        report = run_analysis([tmp_path])
-        assert "RPR101" in _codes(report.findings)
-        (finding,) = report.findings
-        assert "CACHE_KEY_EXCLUDED_FIELDS" in finding.message
-
-    def test_undeclared_pop_fires_at_pop_site(self, tmp_path):
-        files = dict(self.FILES)
-        files["proj/exec/cache.py"] = textwrap.dedent(
-            files["proj/exec/cache.py"]
-        ).replace(
-            'payload.pop("engine", None)',
-            'payload.pop("engine", None)\n'
-            '    payload.pop("cycles", None)',
-        )
-        _write(tmp_path, files)
-        report = run_analysis([tmp_path])
-        hits = [f for f in report.findings if f.code == "RPR101"]
-        assert len(hits) == 1
-        assert "cycles" in hits[0].message
-        assert hits[0].file.endswith("cache.py")
-
-    def test_stale_exclusion_fires(self, tmp_path):
-        files = dict(self.FILES)
-        files["proj/simulation/config.py"] = files[
-            "proj/simulation/config.py"
-        ].replace('{"engine"}', '{"engine", "ghost_field"}')
-        _write(tmp_path, files)
-        report = run_analysis([tmp_path])
-        hits = [f for f in report.findings if f.code == "RPR101"]
-        assert len(hits) == 1
-        assert "ghost_field" in hits[0].message
-
-
 class TestRelaxedRngPolicy:
     """RPR105: ``rng_mode`` must stay in the cache key.  A tree where
-    the relaxed mode exists and the key serializes params wholesale
-    (with only exact-engine knobs excluded) is the blessed shape."""
+    the relaxed mode exists and the key serializes params wholesale is
+    the blessed shape."""
 
     FILES = {
         "proj/__init__.py": "",
@@ -181,21 +29,10 @@ class TestRelaxedRngPolicy:
         "proj/simulation/config.py": """\
             from dataclasses import dataclass
 
-            CACHE_KEY_EXCLUDED_FIELDS = frozenset({"engine"})
-
             @dataclass(frozen=True)
             class SimulationParams:
                 cycles: int = 10
-                engine: str = "fast"
                 rng_mode: str = "exact"
-            """,
-        "proj/simulation/engine.py": """\
-            def run(params):
-                return params.cycles + len(params.engine) + len(params.rng_mode)
-            """,
-        "proj/simulation/fastpath.py": """\
-            def run_fast(params):
-                return params.cycles + len(params.engine) + len(params.rng_mode)
             """,
         "proj/exec/__init__.py": "",
         "proj/exec/cache.py": """\
@@ -203,7 +40,6 @@ class TestRelaxedRngPolicy:
 
             def cache_key(params):
                 payload = dataclasses.asdict(params)
-                payload.pop("engine", None)
                 return sorted(payload.items())
             """,
     }
@@ -216,39 +52,13 @@ class TestRelaxedRngPolicy:
         report = run_analysis([tmp_path])
         assert _codes(report.findings) == []
 
-    def test_declared_exclusion_fires(self, tmp_path):
-        files = dict(self.FILES)
-        files["proj/simulation/config.py"] = files[
-            "proj/simulation/config.py"
-        ].replace('{"engine"}', '{"engine", "rng_mode"}')
-        # Match the declaration in the cache layer so RPR101 stays
-        # quiet: a *consistent* exclusion of the mode is exactly the
-        # policy bug RPR105 exists to reject.
-        files["proj/exec/cache.py"] = textwrap.dedent(
-            files["proj/exec/cache.py"]
-        ).replace(
-            'payload.pop("engine", None)',
-            'payload.pop("engine", None)\n'
-            '    payload.pop("rng_mode", None)',
-        )
-        _write(tmp_path, files)
-        report = run_analysis([tmp_path])
-        assert "RPR101" not in _codes(report.findings)
-        hits = self._rpr105(report)
-        assert len(hits) == 2  # declaration + pop site
-        by_file = sorted(h.file.rsplit("/", 1)[-1] for h in hits)
-        assert by_file == ["cache.py", "config.py"]
-        messages = " ".join(h.message for h in hits)
-        assert "rng_mode" in messages
-        assert "statistically" in messages
-
     def test_undeclared_pop_fires(self, tmp_path):
         files = dict(self.FILES)
         files["proj/exec/cache.py"] = textwrap.dedent(
             files["proj/exec/cache.py"]
         ).replace(
-            'payload.pop("engine", None)',
-            'payload.pop("engine", None)\n'
+            "payload = dataclasses.asdict(params)",
+            "payload = dataclasses.asdict(params)\n"
             '    payload.pop("rng_mode", None)',
         )
         _write(tmp_path, files)
@@ -257,15 +67,12 @@ class TestRelaxedRngPolicy:
         assert len(hits) == 1
         assert hits[0].file.endswith("cache.py")
         assert "never be popped" in hits[0].message
-        # RPR101 also flags the pop as undeclared: one defect, both
-        # the consistency and the policy angle reported.
-        assert "RPR101" in _codes(report.findings)
 
     def test_handrolled_key_omitting_mode_fires(self, tmp_path):
         files = dict(self.FILES)
         files["proj/exec/cache.py"] = """\
             def cache_key(params):
-                return (params.cycles, params.engine)
+                return (params.cycles,)
             """
         _write(tmp_path, files)
         report = run_analysis([tmp_path])
@@ -279,7 +86,7 @@ class TestRelaxedRngPolicy:
         files = dict(self.FILES)
         files["proj/exec/cache.py"] = """\
             def cache_key(params):
-                return (params.cycles, params.engine, params.rng_mode)
+                return (params.cycles, params.rng_mode)
             """
         _write(tmp_path, files)
         report = run_analysis([tmp_path])
@@ -287,15 +94,15 @@ class TestRelaxedRngPolicy:
 
     def test_tree_without_rng_mode_is_silent(self, tmp_path):
         """Pre-relaxed checkouts must not be retrofitted with findings
-        even when they exclude engine knobs and hand-roll keys."""
+        even when they hand-roll keys."""
         files = dict(self.FILES)
         files["proj/simulation/config.py"] = files[
             "proj/simulation/config.py"
         ].replace('    rng_mode: str = "exact"\n', "")
-        for mod in ("engine", "fastpath"):
-            files[f"proj/simulation/{mod}.py"] = files[
-                f"proj/simulation/{mod}.py"
-            ].replace(" + len(params.rng_mode)", "")
+        files["proj/exec/cache.py"] = """\
+            def cache_key(params):
+                return (params.cycles,)
+            """
         _write(tmp_path, files)
         report = run_analysis([tmp_path])
         assert self._rpr105(report) == []

@@ -34,6 +34,8 @@ import random
 
 import pytest
 
+from oracle_engine import run_on
+
 from repro.core.rfc import rfc_with_updown
 from repro.obs import MetricsObserver, MultiObserver, TraceWriter, TracingObserver
 from repro.simulation.config import SimulationParams
@@ -49,8 +51,6 @@ ENGINES = ("reference", "fast", "relaxed")
 def _params(engine: str, **overrides) -> SimulationParams:
     if engine == "relaxed":
         overrides["rng_mode"] = "relaxed"
-    else:
-        overrides["engine"] = engine
     return SimulationParams(
         measure_cycles=300, warmup_cycles=100, seed=3, **overrides
     )
@@ -125,13 +125,13 @@ def _sha(payload) -> str:
 
 def metrics_digest(case: str, engine: str) -> str:
     observer = MetricsObserver()
-    CASES[case](engine, observer).run()
+    run_on(CASES[case](engine, observer), engine)
     return _sha(observer.export())
 
 
 def trace_digest(case: str, engine: str) -> str:
     writer = TraceWriter(None)
-    CASES[case](engine, TracingObserver(writer, include_arb=True)).run()
+    run_on(CASES[case](engine, TracingObserver(writer, include_arb=True)), engine)
     return _sha(writer.records())
 
 

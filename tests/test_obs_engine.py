@@ -6,6 +6,8 @@ import dataclasses
 
 import pytest
 
+from oracle_engine import engine_context, run_on
+
 from repro.obs import (
     MetricsObserver,
     MultiObserver,
@@ -21,18 +23,21 @@ from repro.simulation.traffic import make_traffic
 FAST = SimulationParams(measure_cycles=400, warmup_cycles=100, seed=3)
 
 
-#: Every engine an observer can be attached to: the two exact engines
-#: and the relaxed one.
+#: Every engine an observer can be attached to: the exact engine, the
+#: reference engine it is proven equal to, and the relaxed one.
 ENGINE_PARAMS = {
-    "reference": dataclasses.replace(FAST, engine="reference"),
+    "reference": FAST,
     "fast": FAST,
     "relaxed": dataclasses.replace(FAST, rng_mode="relaxed"),
 }
 
 
-def run_instrumented(topo, observer, load=0.5, seed=1, params=FAST):
+def run_instrumented(topo, observer, load=0.5, seed=1, mode="fast"):
     traffic = make_traffic("uniform", topo.num_terminals, rng=seed)
-    return simulate(topo, traffic, load, params, observer=observer)
+    with engine_context(mode):
+        return simulate(
+            topo, traffic, load, ENGINE_PARAMS[mode], observer=observer
+        )
 
 
 @pytest.mark.parametrize("mode", sorted(ENGINE_PARAMS))
@@ -40,10 +45,9 @@ class TestDeterminism:
     """Observers never perturb the run they watch, on every engine."""
 
     def test_instrumented_equals_bare(self, rfc_small, mode):
-        params = ENGINE_PARAMS[mode]
-        bare = run_instrumented(rfc_small, None, params=params)
+        bare = run_instrumented(rfc_small, None, mode=mode)
         observer = MetricsObserver()
-        inst = run_instrumented(rfc_small, observer, params=params)
+        inst = run_instrumented(rfc_small, observer, mode=mode)
         assert bare == inst
         assert bare.core_dict() == inst.core_dict()
         # The hooks really fired on this engine.
@@ -51,11 +55,10 @@ class TestDeterminism:
         assert ejected == inst.delivered_packets > 0
 
     def test_tracing_does_not_perturb(self, rfc_small, mode):
-        params = ENGINE_PARAMS[mode]
-        bare = run_instrumented(rfc_small, None, params=params)
+        bare = run_instrumented(rfc_small, None, mode=mode)
         with TraceWriter(None) as writer:
             traced = run_instrumented(
-                rfc_small, TracingObserver(writer), params=params
+                rfc_small, TracingObserver(writer), mode=mode
             )
         assert bare == traced
 
@@ -257,7 +260,7 @@ class TestHookRouting:
     ):
         log: list = []
         result = run_instrumented(
-            rfc_small, _EjectLogger("e", log), params=ENGINE_PARAMS[mode]
+            rfc_small, _EjectLogger("e", log), mode=mode
         )
         assert len(log) == result.delivered_packets > 0
         assert noop_calls == []
@@ -266,7 +269,7 @@ class TestHookRouting:
     def test_metrics_adds_no_per_event_call(self, rfc_small, mode, noop_calls):
         observer = MetricsObserver()
         result = run_instrumented(
-            rfc_small, observer, params=ENGINE_PARAMS[mode]
+            rfc_small, observer, mode=mode
         )
         assert noop_calls == []
         export = observer.export()
@@ -277,12 +280,12 @@ class TestHookRouting:
         params = ENGINE_PARAMS[mode]
         traffic = make_traffic("uniform", rfc_small.num_terminals, rng=1)
         quiet = Simulator(rfc_small, traffic, 0.5, params, observer=SimObserver())
-        quiet.run()
+        run_on(quiet, mode)
         assert quiet.run_counters is None
         counted = Simulator(
             rfc_small, traffic, 0.5, params, observer=MetricsObserver()
         )
-        result = counted.run()
+        result = run_on(counted, mode)
         assert counted.run_counters is not None
         assert sum(counted.run_counters.latency) == result.delivered_packets
 

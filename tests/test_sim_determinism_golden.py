@@ -27,6 +27,8 @@ from repro.simulation.config import SimulationParams
 from repro.simulation.engine import load_sweep, simulate
 from repro.simulation.traffic import make_traffic
 
+from oracle_engine import engine_context
+
 GOLDEN = Path(__file__).parent / "data" / "golden_load_sweep.json"
 GOLDEN_BENCH = Path(__file__).parent / "data" / "golden_vectorized_bench.json"
 PARAMS = SimulationParams(measure_cycles=400, warmup_cycles=100, seed=3)
@@ -54,8 +56,8 @@ def test_every_engine_matches_golden(topo, golden, engine):
     """Each engine reproduces the pre-fast-path snapshot -- pinning
     *all* engines to the same bit-for-bit history, not just to each
     other."""
-    params = PARAMS.scaled(engine=engine)
-    results = load_sweep(topo, "uniform", LOADS, params)
+    with engine_context(engine):
+        results = load_sweep(topo, "uniform", LOADS, PARAMS)
     assert [r.core_dict() for r in results] == golden
 
 
@@ -77,13 +79,12 @@ def test_every_engine_matches_bench_golden(engine):
     """
     golden_bench = json.loads(GOLDEN_BENCH.read_text())
     topo, _ = rfc_with_updown(8, 32, 3, rng=11)
-    params = SimulationParams(
-        measure_cycles=400, warmup_cycles=100, seed=5, engine=engine
-    )
+    params = SimulationParams(measure_cycles=400, warmup_cycles=100, seed=5)
     traffic = make_traffic(
         "uniform", topo.num_terminals, rng=params.seed + 7_919
     )
-    result = simulate(topo, traffic, 0.7, params)
+    with engine_context(engine):
+        result = simulate(topo, traffic, 0.7, params)
     assert result.core_dict() == golden_bench
 
 

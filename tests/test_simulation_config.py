@@ -67,22 +67,39 @@ class TestScaled:
 
 
 class TestEngineSelection:
-    def test_default_is_fast(self):
-        params = SimulationParams()
-        assert params.engine == "fast"
-        assert params.engine_name == "fast"
+    """``rng_mode`` is the one engine selector of ``Simulator.run``."""
 
-    def test_relaxed_mode_resolves_to_relaxed_engine(self):
-        assert SimulationParams(rng_mode="relaxed").engine_name == "relaxed"
+    def _engine_run_by(self, rfc_small, monkeypatch, **overrides):
+        import repro.accel.relaxed as relaxed
+        import repro.simulation.fastpath as fastpath
+        from repro.simulation.engine import Simulator
+        from repro.simulation.traffic import make_traffic
+
+        monkeypatch.setattr(fastpath, "run_fast", lambda sim: "fast")
+        monkeypatch.setattr(relaxed, "run_relaxed", lambda sim: "relaxed")
+        traffic = make_traffic("uniform", rfc_small.num_terminals, rng=0)
+        params = SimulationParams(measure_cycles=10, **overrides)
+        return Simulator(rfc_small, traffic, 0.5, params).run()
+
+    def test_default_is_fast(self, rfc_small, monkeypatch):
+        assert SimulationParams().rng_mode == "exact"
+        assert self._engine_run_by(rfc_small, monkeypatch) == "fast"
+
+    def test_relaxed_mode_resolves_to_relaxed_engine(
+        self, rfc_small, monkeypatch
+    ):
+        assert self._engine_run_by(
+            rfc_small, monkeypatch, rng_mode="relaxed"
+        ) == "relaxed"
 
     def test_unknown_engine_names_the_allowed_ones(self):
-        with pytest.raises(ValueError, match="'fast' or 'reference'"):
-            SimulationParams(engine="vectorized")
+        with pytest.raises(ValueError, match="'exact' or 'relaxed'"):
+            SimulationParams(rng_mode="vectorized")
 
     def test_removed_fast_path_field_is_rejected(self):
         with pytest.raises(TypeError):
             SimulationParams(fast_path=False)
 
-    def test_relaxed_mode_refuses_reference_engine(self):
-        with pytest.raises(ValueError, match="exact-only"):
-            SimulationParams(rng_mode="relaxed", engine="reference")
+    def test_removed_engine_field_is_rejected(self):
+        with pytest.raises(TypeError):
+            SimulationParams(engine="reference")

@@ -25,6 +25,8 @@ takes each slot, never the slot times).
 
 import pytest
 
+from oracle_engine import run_on
+
 from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator
 from repro.topologies.base import FoldedClos
@@ -55,12 +57,11 @@ def dumbbell(hosts_per_leaf):
 
 
 def params_for(engine):
-    if engine == "relaxed":
-        return SimulationParams(
-            measure_cycles=3_000, warmup_cycles=0, rng_mode="relaxed", seed=1
-        )
     return SimulationParams(
-        measure_cycles=3_000, warmup_cycles=0, engine=engine, seed=1
+        measure_cycles=3_000,
+        warmup_cycles=0,
+        rng_mode="relaxed" if engine == "relaxed" else "exact",
+        seed=1,
     )
 
 
@@ -72,7 +73,7 @@ def run_flows(topo, flows, engine):
         topo, FlowTraffic(schedule), 0.5, params_for(engine),
         observer=tracker,
     )
-    result = sim.run()
+    result = run_on(sim, engine)
     return result, sorted(fct for fct, _ in tracker.fct_records())
 
 

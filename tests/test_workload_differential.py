@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_engine import engine_context
 from statcheck import bootstrap_ci, intervals_overlap, ks_2sample
 
 from repro.obs.trace import TraceWriter
@@ -51,16 +52,16 @@ def dumbbell(hosts_per_leaf=4):
     )
 
 
-def exact_params(engine, cycles=1_000, seed=1, **overrides):
+def exact_params(cycles=1_000, seed=1, **overrides):
     return SimulationParams(
-        measure_cycles=cycles, warmup_cycles=0, engine=engine, seed=seed,
-        **overrides,
+        measure_cycles=cycles, warmup_cycles=0, seed=seed, **overrides
     )
 
 
-def traced_run(topo, workload, params):
+def traced_run(topo, workload, params, engine="fast"):
     writer = TraceWriter(None)
-    result = run_workload(topo, workload, params, trace_writer=writer)
+    with engine_context(engine):
+        result = run_workload(topo, workload, params, trace_writer=writer)
     return result, writer.records()
 
 
@@ -78,7 +79,7 @@ class TestExactEngineParity:
         stats = {}
         for engine in EXACT_ENGINES:
             result, records = traced_run(
-                rfc_small, workload, exact_params(engine, cycles=1_500)
+                rfc_small, workload, exact_params(cycles=1_500), engine
             )
             streams[engine] = records
             stats[engine] = result.flow_stats
@@ -98,7 +99,8 @@ class TestExactEngineParity:
             _, records = traced_run(
                 rfc_small,
                 workload,
-                exact_params(engine, cycles=1_200, valiant=True),
+                exact_params(cycles=1_200, valiant=True),
+                engine,
             )
             streams.append(records)
         assert streams[0] == streams[1]
@@ -119,7 +121,7 @@ class TestGoldenTrace:
         workload = make_workload(
             "incast", topo.num_terminals, **self.SCENARIO
         )
-        _, records = traced_run(topo, workload, exact_params(engine))
+        _, records = traced_run(topo, workload, exact_params(), engine)
         return records
 
     @pytest.mark.parametrize("engine", EXACT_ENGINES)
@@ -150,10 +152,11 @@ class TestNonPerturbation:
             "poisson-mix", topo.num_terminals, seed=11, load=0.5,
             duration=500,
         )
-        params = exact_params(engine)
-        tracked = run_workload(topo, workload, params)
-        load = tracked.offered_load
-        bare = Simulator(topo, workload, load, params).run()
+        params = exact_params()
+        with engine_context(engine):
+            tracked = run_workload(topo, workload, params)
+            load = tracked.offered_load
+            bare = Simulator(topo, workload, load, params).run()
         assert tracked == bare
         assert tracked.core_dict() == bare.core_dict()
         assert tracked.flow_stats is not None
@@ -270,14 +273,16 @@ def test_flow_conservation_and_fct_bounds(schedule, engine):
     """Every flow either completes or is dropped; completed flows
     respect the serialization lower bound fct >= size * P."""
     topo = dumbbell(4)
-    params = exact_params(engine, cycles=2_000)
-    result = run_workload(topo, FlowTraffic(schedule), params)
+    params = exact_params(cycles=2_000)
+    with engine_context(engine):
+        result = run_workload(topo, FlowTraffic(schedule), params)
     fs = result.flow_stats
     assert fs["flows_total"] == len(schedule.flows)
     assert fs["flows_completed"] + fs["flows_dropped"] <= fs["flows_total"]
     tracker = FlowTracker(schedule)
-    Simulator(topo, FlowTraffic(schedule), 0.5, params,
-              observer=tracker).run()
+    with engine_context(engine):
+        Simulator(topo, FlowTraffic(schedule), 0.5, params,
+                  observer=tracker).run()
     for fct, size in tracker.fct_records():
         assert fct >= size * params.packet_phits
 
