@@ -12,11 +12,16 @@ packet_id, cycle, draw_site)`` through the counter-based generator in
 :mod:`repro.accel.rng`, draws decouple, and the whole per-cycle
 request/grant phase collapses into a handful of numpy passes:
 
-* **request** -- one gather of every ready head's candidate row
-  against the ``(class, channel)`` gate matrix (the channel's
-  busy-until time while one of the class's VCs has a downstream
-  credit, ``EMPTY_READY`` while none has), then one keyed draw per
-  head picks among its viable outputs (``randbelow`` by modulo);
+* **request** -- each head's candidate row is written once, when it
+  becomes the head of its queue (routing is static while it waits):
+  its switch's up or down neighbors from the shared
+  :class:`~repro.simulation.routes.RouteState`, kept where their
+  min-ascent to the target leaf allows the hop, in router order.  Each
+  round gathers every ready head's row against the ``(class,
+  channel)`` gate matrix (the channel's busy-until time while one of
+  the class's VCs has a downstream credit, ``EMPTY_READY`` while none
+  has), then one keyed draw per head picks among its viable outputs
+  (``randbelow`` by modulo);
 * **grant** -- contenders for the same output race by keyed 64-bit
   priority: one ``argsort`` of a fused ``(output, priority)`` key and
   a segment-boundary scan yield the per-output winners, which is
@@ -106,7 +111,7 @@ from .rng import (
 )
 
 if TYPE_CHECKING:
-    from ..routing.table import CsrTable
+    from ..simulation.routes import RouteState
 
 __all__ = ["run_relaxed", "build_relaxed_candidates", "build_padded_candidates"]
 
@@ -119,85 +124,41 @@ EMPTY_READY = 1 << 60
 #: second full keyed draw; sites stay distinct through the salt).
 _GRANT_SALT = np.uint64(0xD1B54A32D192ED03)
 _VC_SALT = np.uint64(0x8CB92BA72F3D8DD7)
+#: Both salts as a column, so one XOR makes the two lanes.
+_SALTS = np.array([[_GRANT_SALT], [_VC_SALT]], dtype=np.uint64)
 
 _U64 = np.uint64
 
 
-def padded_width(table: CsrTable) -> int:
-    """Widest candidate row of CSR ``table`` (0 for degenerate tables)."""
-    if not len(table.values):
-        return 0
-    return int(np.diff(table.offsets).max())
+def build_padded_candidates(sim) -> tuple[np.ndarray, np.ndarray]:
+    """Per-switch padded candidate-channel matrices the mask step filters.
 
-
-def build_padded_candidates(sim, out=None):
-    """Rectangular candidate matrix for ``sim``'s CSR route table.
-
-    Returns ``(cand_pad, maxdeg)``:
-
-    * ``cand_pad`` -- ``(num_keys, maxdeg) int32`` (CSR values are
-      int32 channel ids); row ``k`` holds the output-channel candidates
-      of CSR key ``k``, padded with the dummy channel id
-      ``len(sim.ch_kind)`` (whose gate is pinned past any horizon, so
-      padding can never look viable);
-    * ``maxdeg`` -- the widest row (:func:`padded_width`).
-
-    With ``out`` -- a ``(num_keys, width)`` array, ``width >= maxdeg``,
-    typically a row slice of a larger matrix -- the rows are written
-    into it in place (padding included) and ``out`` is returned as
-    ``cand_pad``, so a caller that needs extra rows or columns holds a
-    single matrix.  Not cached.
+    Returns ``(up, down)``: the ``(switches, width) int32`` channel to
+    each up-neighbor (down-neighbor) of every switch, in router order,
+    padded with the dummy channel ``len(sim.ch_kind)`` (whose gate never
+    opens), from ``sim``'s :class:`~repro.simulation.routes.RouteState`.
+    :meth:`RouteState.candidate_matrix` keeps the cells whose neighbor
+    routes to a head's leaf and writes the rest as the dummy.
     """
     from ..simulation.fastpath import build_candidate_table
 
-    table = build_candidate_table(sim)
-    lens = np.diff(table.offsets)
-    n_keys = len(table.flags)
-    maxdeg = padded_width(table)
-    dummy = len(sim.ch_kind)
-    if out is None:
-        out = np.full((n_keys, maxdeg), dummy, dtype=np.int32)
-    else:
-        out[...] = dummy
-    if maxdeg:
-        # Row-major order of the mask's True cells is the CSR order.
-        out[np.arange(out.shape[1]) < lens[:, None]] = table.values
-    return out, maxdeg
+    routes = build_candidate_table(sim)
+    return routes.up_channels, routes.down_channels
 
 
-def build_relaxed_candidates(sim):
-    """Extended candidate matrix covering delivery heads.
+def build_relaxed_candidates(sim) -> RouteState:
+    """Route set-up of the relaxed engine: ``sim``'s cached route state.
 
-    Returns ``(cand_ext, width)`` where ``cand_ext`` is ``(n_keys + 1 +
-    num_terminals, width) int32``: rows ``0..n_keys-1`` are the CSR
-    candidate rows (padded with the permanently-blocked dummy channel
-    ``n_ch``), row ``n_keys`` is fully blocked (empty units and
-    unroutable heads key here so the batched pass can never grant
-    them), and row ``n_keys + 1 + dst`` holds destination ``dst``'s
-    single eject channel.  The engine grants straight from the batch,
-    so eject channels get real viability gates and a real candidate
-    row.
-
-    The matrix is allocated once and :func:`build_padded_candidates`
-    fills its CSR rows in place, so no second padded copy exists.
-    Cached on the simulator.
+    The :class:`~repro.simulation.routes.RouteState` is the one the
+    exact engine reads too; its padded candidate-channel matrix
+    (:func:`build_padded_candidates`) is what each head's row is
+    filtered from.
     """
-    cached = getattr(sim, "_relaxed_pad", None)
-    if cached is not None:
-        return cached
     from ..simulation.fastpath import build_candidate_table
 
-    table = build_candidate_table(sim)
-    n_keys = len(table.flags)
-    n_ch = len(sim.ch_kind)
-    num_terminals = sim.topo.num_terminals
-    width = max(padded_width(table), 1)
-    cand_ext = np.empty((n_keys + 1 + num_terminals, width), dtype=np.int32)
-    build_padded_candidates(sim, out=cand_ext[:n_keys])
-    cand_ext[n_keys:] = n_ch
-    cand_ext[n_keys + 1 :, 0] = sim.eject_channel
-    sim._relaxed_pad = (cand_ext, width)
-    return sim._relaxed_pad
+    routes = build_candidate_table(sim)
+    build_padded_candidates(sim)
+    return routes
 
 
 def _arrivals(sim, hseed: int) -> tuple:
@@ -497,16 +458,10 @@ def run_relaxed(sim) -> SimResult:
     num_terminals = topo.num_terminals
     hseed = key_seed(params.seed)
 
-    # ---- routing tables (shared with the fast engine) ------------------
-    from ..simulation.fastpath import build_candidate_table
-
-    table = build_candidate_table(sim)
-    n_dests = table.num_dests
-    n_keys = len(table.flags)
-    routable = table.flags != table.UNROUTABLE
-    cand_ext, _width = build_relaxed_candidates(sim)
-    blocked_row = n_keys
-    deliver_base = n_keys + 1
+    # ---- route state (shared with the fast engine) ---------------------
+    routes = build_relaxed_candidates(sim)
+    n_dests = routes.num_leaves
+    routable = routes.routable.reshape(-1)
 
     # ---- channels and input units --------------------------------------
     # Links come first in the channel arrays.  Unit ``c * vcs + w`` is
@@ -578,7 +533,7 @@ def run_relaxed(sim) -> SimResult:
     p_col = a_dst // hosts
     src_col = a_term // hosts
     p_ok = routable[src_col * n_dests + p_col]
-    p_dkey = deliver_base + a_dst  # the destination's eject row
+    p_eject = np.asarray(sim.eject_channel, dtype=np.int32)[a_dst]
     a_via = (
         _valiant_vias(
             hseed, a_serial, src_col, p_col, routable, n_dests, hosts,
@@ -621,11 +576,14 @@ def run_relaxed(sim) -> SimResult:
 
     # ---- unit heads -----------------------------------------------------
     # ``ready`` is the cycle from which a unit's head may request
-    # (EMPTY_READY: no head), ``vkey`` the head's candidate row and
-    # ``cls`` its VC class.
+    # (EMPTY_READY: no head), ``cands`` the head's candidate channels
+    # (then the dummy channel ``n_ch``, whose gate never opens) and
+    # ``cls`` its VC class.  Routing is static while a head waits, so
+    # each head is routed once, when it is exposed; ``cands`` widens
+    # when a head has more candidates than it has columns.
     ready = np.full(n_units, EMPTY_READY, dtype=np.int64)
     head = np.full(n_units, -1, dtype=np.int64)
-    vkey = np.full(n_units, blocked_row, dtype=np.int64)
+    cands = np.full((n_units, 1), n_ch, dtype=np.int32)
     cls = None if uniform else np.zeros(n_units, dtype=np.int64)
 
     counters, on_inject, on_drop, on_arbitrate, on_hop, on_eject = begin_run(
@@ -640,7 +598,9 @@ def run_relaxed(sim) -> SimResult:
         return _views(views, rows, [c[rows] for c in packet_columns])
 
     def expose(units: np.ndarray, rows: np.ndarray, when) -> None:
-        """Make ``rows`` the heads of ``units``, ready from ``when``."""
+        """Make ``rows`` the heads of ``units``, ready from ``when``,
+        and write each head's candidate row."""
+        nonlocal cands
         sw = unit_sw[units]
         col = p_col[rows]
         deliver = sw == col
@@ -655,18 +615,22 @@ def run_relaxed(sim) -> SimResult:
                 col = np.where(phase, v_col, col)
                 deliver &= ~phase
             cls[units] = ~phase
-        key = sw * n_dests + col
-        route = routable[key]
-        vkey[units] = np.where(
-            deliver, p_dkey[rows], np.where(route, key, blocked_row)
-        )
-        stuck = ~(deliver | route)
+        routed = routes.candidate_matrix(sw, col, cands.shape[1])
+        if routed.shape[1] > cands.shape[1]:
+            wider = np.full((n_units, routed.shape[1]), n_ch, dtype=np.int32)
+            wider[:, : cands.shape[1]] = cands
+            cands = wider
+        # A routable pair has a candidate, so an empty row that does not
+        # deliver is an unroutable head.
+        stuck = ~deliver & (routed == n_ch).all(axis=1)
         if stuck.any():
             # Cannot happen for generated traffic (injection filters by
-            # the routability table); replay the reference router so
-            # the same RoutingError surfaces.
+            # the routability map); replay the reference router so the
+            # same RoutingError surfaces.
             for s, packet in zip(sw[stuck].tolist(), views_of(rows[stuck])):
                 sim._output_candidates(s, packet)
+        routed[deliver, 0] = p_eject[rows[deliver]]
+        cands[units] = routed
         head[units] = rows
         ready[units] = when
 
@@ -784,7 +748,7 @@ def run_relaxed(sim) -> SimResult:
                 elig = elig[~granted[unit_cid[elig]]]
                 if not elig.size:
                     break
-            cand = cand_ext.take(vkey[elig], axis=0)
+            cand = cands.take(elig, axis=0)
             gate_open = gate_flat <= t
             if uniform:
                 open_ = gate_open.take(cand)
@@ -813,9 +777,7 @@ def run_relaxed(sim) -> SimResult:
             # Grant phase: max keyed priority per output wins -- a
             # uniform pick among that output's contenders.  The VC lane
             # (used by the winners below) is mixed in the same call.
-            prio, vc_lane = mix64_array(
-                np.stack((rh ^ _GRANT_SALT, rh ^ _VC_SALT))
-            )
+            prio, vc_lane = mix64_array(rh ^ _SALTS)
             # One argsort of a fused (output, priority) key; the
             # truncated priority keeps >= 44 tie-break bits, so the
             # chance truncation ever changes which contender holds the

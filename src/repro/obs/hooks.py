@@ -215,6 +215,11 @@ class MetricsObserver(SimObserver):
         )
         stages = per_cycle[:, : counters.eject_class]
         hops = stages.sum(axis=1)
+        delivered = per_cycle[:, counters.eject_class]
+        if delivered.any():
+            # Before the per-link block below: reading a named counter
+            # after it expands the block into one object per link.
+            reg.counter("eject.packets").inc(int(delivered.sum()))
         if hops.any():
             reg.counter("hop.count").inc(int(hops.sum()))
             grants = np.asarray(counters.grants, dtype=np.int64)
@@ -240,9 +245,7 @@ class MetricsObserver(SimObserver):
                     reg, f"ts.stage.{lo}->{hi}", width, stages[:, k], phits
                 )
 
-        delivered = per_cycle[:, counters.eject_class]
         if delivered.any():
-            reg.counter("eject.packets").inc(int(delivered.sum()))
             _observe_bins(reg.histogram("latency.packet"), counters.latency)
             _observe_bins(reg.histogram("hops.packet"), counters.hops)
             _add_per_cycle(reg, "ts.delivered_phits", width, delivered, phits)

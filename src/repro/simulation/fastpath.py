@@ -8,20 +8,19 @@ module removes both while staying **bit-for-bit identical** to the
 reference engine the test suite keeps as its oracle
 (``tests/oracle_engine.py``):
 
-* **CSR candidate tables** -- one precomputation pass flattens every
-  switch's per-destination output candidates (including the up/down
-  direction choice and the Valiant via phase, which shares the same
-  table keyed by the intermediate leaf) into a
-  :class:`~repro.routing.table.CsrTable`: ``int64`` offsets,
-  ``int32`` channel-id values and ``uint8`` flags.  The hot loop then
-  finds a head packet's candidates with one multiply and one dict
-  lookup (:class:`~repro.routing.table.CandidateRows` lists a key's
-  row the first time it is read) instead of a router call per hop --
-  and, crucially, per *blocked* hop re-evaluation, which the
-  arbitration loop performs every cycle a packet waits.  The table is
-  derived with numpy from the router's packed ``U_j`` reach masks, a
-  few whole-array passes per level instead of a router call per
-  (switch, leaf) key (see :func:`_folded_clos_table`).
+* **Route state, rows on first read** -- routing reads one
+  :class:`~repro.simulation.routes.RouteState` per run: the router's
+  ``min_ascent`` for every (switch, leaf) as an ``int8`` matrix, read
+  off its packed ``U_j`` reach masks, plus each switch's padded up and
+  down neighbors and the channel to each.  The hot loop finds a head
+  packet's candidates with one multiply and one dict lookup keyed
+  ``switch * leaves + leaf`` (the Valiant via phase uses the same keys,
+  by the intermediate leaf).
+  :class:`~repro.simulation.routes.CandidateRows` builds a key's list
+  the first time it is read, by testing the neighbors' ascents, instead
+  of a router call per hop -- and, crucially, per *blocked* hop
+  re-evaluation, which the arbitration loop performs every cycle a
+  packet waits.
 * **Calendar-queue event wheel** -- the fixed-horizon schedule is kept
   in :class:`EventWheel`, one FIFO bucket per cycle.  The reference
   heap orders events by ``(time, seq)`` with ``seq`` increasing on
@@ -35,13 +34,12 @@ Equivalence contract (enforced by ``tests/test_fastpath_differential
 :class:`~repro.simulation.stats.SimResult`, same per-link busy-cycle
 counters, same packet traces and the same observer callback stream as
 the reference engine.  The per-candidate order feeds
-``rng.choice``, so the table must list candidates exactly as the
-reference's :meth:`UpDownRouter.next_hops` does.  It tests the same
+``rng.choice``, so the rows must list candidates exactly as the
+reference's :meth:`UpDownRouter.next_hops` does.  They test the same
 reach-mask bits over each switch's neighbors in the router's own
-up/down neighbor order and emits them in (switch, leaf, neighbor)
-order, which is that order.  ``tests/test_eventwheel_properties.py``
-compares the arrays with a table built key by key from
-:meth:`Simulator._output_candidates`.
+up/down neighbor order, which is that order.
+``tests/test_eventwheel_properties.py`` compares every (switch, leaf)
+row with :meth:`Simulator._output_candidates`.
 
 The run loop itself is one large function with aggressively
 locals-bound state and the reference's helper calls inlined; that is
@@ -55,14 +53,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from ..accel.order import stable_order
 from ..obs.counters import RunCounters
 from ..obs.hooks import begin_run
-from ..routing.table import CandidateRows, CsrTable
 from .engine import _EJECT, _EV_ARB, _EV_CREDIT, _EV_GEN, _INJECT, _LINK
 from .packet import Packet
+from .routes import CandidateRows, build_candidate_table
 from .stats import SimResult
 
 __all__ = ["EventWheel", "build_candidate_table", "run_fast"]
@@ -126,212 +121,6 @@ class EventWheel:
         return self.pending
 
 
-def build_candidate_table(sim) -> CsrTable:
-    """Flatten ``sim``'s routing into a channel-id :class:`CsrTable`.
-
-    Keys are ``switch * num_dests + leaf`` for a destination leaf.
-    Values are viable output channel ids in exactly the order
-    :meth:`Simulator._output_candidates` would build them, so
-    downstream ``rng.choice`` calls see identical sequences.
-
-    The table is derived with array operations from the router's
-    packed ``U_j`` masks (:func:`_folded_clos_table`), resolving
-    ``(src, dst)`` switch pairs to channel ids through
-    :func:`_channel_lookup`.  It is cached on the simulator instance.
-    """
-    table = getattr(sim, "_fast_table", None)
-    if table is not None:
-        return table
-    table = _folded_clos_table(sim, _channel_lookup(sim))
-    sim._fast_table = table
-    return table
-
-
-def _channel_lookup(sim):
-    """Vectorized ``sim.link_channel``: ``lookup(src, dst) -> ids``.
-
-    LINK channels are keyed ``src * num_switches + dst`` in one sorted
-    array that every query searches.  The stable sort plus
-    ``side="right"`` resolves a pair listed twice to its highest
-    channel id -- the entry the dict's last write kept.  A pair with no
-    channel raises :class:`KeyError`, as the dict would.
-    """
-    n_sw = sim.topo.num_switches
-    cids = np.flatnonzero(np.asarray(sim.ch_kind) == _LINK)
-    keys = (
-        np.asarray(sim.ch_src, dtype=np.int64)[cids] * n_sw
-        + np.asarray(sim.ch_dst, dtype=np.int64)[cids]
-    )
-    order, keys = stable_order(keys)
-    ids = cids[order].astype(np.int32)
-
-    def lookup(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        query = np.asarray(src, dtype=np.int64) * n_sw + dst
-        pos = np.searchsorted(keys, query, side="right") - 1
-        if query.size and (pos.min() < 0 or (keys[pos] != query).any()):
-            raise KeyError("switch pair without a link channel")
-        return ids[pos]
-
-    return lookup
-
-
-def _min_ascent(tables: list, n_leaves: int, no_route: int) -> np.ndarray:
-    """``(switches, leaves) int8``: first budget ``j`` whose packed
-    ``U_j`` row holds the leaf -- the router's ``min_ascent`` --
-    or ``no_route`` when none does."""
-    out = np.full((len(tables[0]), n_leaves), no_route, dtype=np.int8)
-    for j in reversed(range(len(tables))):
-        as_bytes = np.ascontiguousarray(tables[j], dtype="<u8").view(np.uint8)
-        bits = np.unpackbits(
-            as_bytes, axis=1, count=n_leaves, bitorder="little"
-        ).view(bool)
-        out[bits] = j
-    return out
-
-
-def _neighbor_channels(
-    rows, pad: int, lookup, src_first: int, dst_first: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pad level-local neighbor ``rows`` into ``(len(rows), width)``
-    matrices, in row order: neighbor indices (``pad`` past a row's
-    end) and the channel id from each switch to each neighbor."""
-    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    width = int(lens.max()) if len(rows) else 0
-    flat = np.fromiter(
-        (t for row in rows for t in row), dtype=np.int64, count=int(lens.sum())
-    )
-    row_of = np.repeat(np.arange(len(rows), dtype=np.int64), lens)
-    col_of = np.arange(flat.size) - np.repeat(np.cumsum(lens) - lens, lens)
-    nbrs = np.full((len(rows), width), pad, dtype=np.int64)
-    nbrs[row_of, col_of] = flat
-    channels = np.zeros((len(rows), width), dtype=np.int32)
-    channels[row_of, col_of] = lookup(src_first + row_of, dst_first + flat)
-    return nbrs, channels
-
-
-#: Upper bound on ``switches * leaves * neighbors`` elements per chunk
-#: of :func:`_folded_clos_table`; bounds its transient memory.
-_CHUNK_ELEMENTS = 1 << 21
-
-
-def _folded_clos_table(sim, lookup) -> CsrTable:
-    """Up/down candidate table from the router's packed reach masks.
-
-    ``asc[l][s, leaf]`` is the router's ``min_ascent`` for every
-    switch and leaf, read off the packed ``U_j`` masks.  The router's
-    ``next_hops`` decisions follow from it:
-
-    * level 0 and ``s == leaf``: DELIVER;
-    * ``asc == 0``: down, to every down-neighbor ``t`` whose ``U_0``
-      holds the leaf, i.e. ``asc[l-1][t, leaf] == 0``;
-    * no budget holds the leaf: UNROUTABLE;
-    * otherwise up.  The router keeps up-neighbor ``t`` when
-      ``U_{a-1}[t]`` holds the leaf, ``a = asc[l][s, leaf]``.  Since
-      ``U_j[s]`` is the OR of ``U_{j-1}`` over the up-neighbors and
-      ``a`` is minimal, no up-neighbor reaches the leaf with fewer than
-      ``a - 1`` up-hops, so that test is ``asc[l+1][t, leaf] == a - 1``.
-      Non-minimal routing keeps every ``t`` with any budget,
-      ``asc[l+1][t, leaf] != no_route``.
-
-    Candidates are tested over padded neighbor matrices that list each
-    switch's neighbors in ``router._up`` / ``router._down`` order --
-    the order the router filters -- and emitted in row-major (switch,
-    leaf, neighbor) order, which is the reference's key-by-key order.
-    Levels are processed in switch-id order, in chunks of switches.
-    """
-    router = sim.router
-    sizes = router.level_sizes
-    n_levels = len(sizes)
-    n_leaves = sizes[0]
-    first = sim.level_offsets
-    minimal = sim.params.minimal_routing
-    no_route = n_levels  # past every ascent budget
-    # One extra all-``no_route`` row per level: the padding target of
-    # neighbor matrices, never viable.
-    asc = [
-        np.vstack(
-            [
-                _min_ascent(tables, n_leaves, no_route),
-                np.full((1, n_leaves), no_route, dtype=np.int8),
-            ]
-        )
-        for tables in router.packed_reach()
-    ]
-
-    n_keys = sum(sizes) * n_leaves
-    # ``offsets[1 + k]`` holds key ``k``'s candidate count until the
-    # closing cumulative sum turns counts into offsets.
-    offsets = np.zeros(n_keys + 1, dtype=np.int64)
-    flags = np.zeros(n_keys, dtype=np.uint8)
-    value_parts: list[np.ndarray] = [np.zeros(0, dtype=np.int32)]
-    for level, size in enumerate(sizes):
-        parts = []  # (neighbor matrix, channels, neighbor level, is_up)
-        if level + 1 < n_levels:
-            parts.append(
-                (
-                    *_neighbor_channels(
-                        router._up[level], sizes[level + 1], lookup,
-                        first[level], first[level + 1],
-                    ),
-                    level + 1,
-                    True,
-                )
-            )
-        if level > 0:
-            parts.append(
-                (
-                    *_neighbor_channels(
-                        router._down[level - 1], sizes[level - 1], lookup,
-                        first[level], first[level - 1],
-                    ),
-                    level - 1,
-                    False,
-                )
-            )
-        width = sum(nbrs.shape[1] for nbrs, *_ in parts)
-        step = max(1, _CHUNK_ELEMENTS // max(1, n_leaves * width))
-        for lo in range(0, size, step):
-            hi = min(size, lo + step)
-            ascent = asc[level][lo:hi]
-            keys = slice(
-                (first[level] + lo) * n_leaves, (first[level] + hi) * n_leaves
-            )
-            chunk_flags = flags[keys].reshape(ascent.shape)
-            chunk_flags[ascent == no_route] = CsrTable.UNROUTABLE
-            if level == 0:
-                rows = np.arange(lo, hi)
-                chunk_flags[rows - lo, rows] = CsrTable.DELIVER
-            if not parts:
-                continue
-            viable = []
-            channels = []
-            for nbrs, chans, nbr_level, is_up in parts:
-                nbr_ascent = asc[nbr_level][nbrs[lo:hi]]  # (c, width, leaf)
-                if not is_up:
-                    ok = (nbr_ascent == 0) & (ascent == 0)[:, None, :]
-                elif minimal:
-                    ok = nbr_ascent == (ascent - 1)[:, None, :]
-                else:
-                    ok = (nbr_ascent != no_route) & (
-                        (ascent > 0) & (ascent != no_route)
-                    )[:, None, :]
-                viable.append(ok)
-                channels.append(chans[lo:hi])
-            mask = np.concatenate(viable, axis=1).transpose(0, 2, 1)
-            chans = np.concatenate(channels, axis=1)[:, None, :]
-            mask.sum(
-                axis=2,
-                out=offsets[keys.start + 1 : keys.stop + 1].reshape(
-                    ascent.shape
-                ),
-            )
-            value_parts.append(np.broadcast_to(chans, mask.shape)[mask])
-    np.cumsum(offsets, out=offsets)
-    return CsrTable(
-        sum(sizes), n_leaves, offsets, np.concatenate(value_parts), flags
-    )
-
-
 def run_fast(sim) -> SimResult:
     """Execute ``sim`` through the precomputed-route engine.
 
@@ -361,14 +150,14 @@ def run_fast(sim) -> SimResult:
     num_terminals = topo.num_terminals
 
     # ---- precomputation pass -------------------------------------------
-    table = build_candidate_table(sim)
+    routes = build_candidate_table(sim)
     # Rows are listed on first read; a run touches a fraction of keys.
-    cand_lists = CandidateRows(table)
-    n_dests = table.num_dests
-    # A (source switch, dest) pair is routable unless flagged; replaces
-    # the reference's per-packet min_ascent injection checks with one
-    # byte index (identical truth table by construction of the flags).
-    routable = (table.flags != CsrTable.UNROUTABLE).tobytes()
+    cand_lists = CandidateRows(routes)
+    n_dests = routes.num_leaves
+    # A (source leaf, dest leaf) pair is routable unless the leaf has no
+    # ascent to it; replaces the reference's per-packet min_ascent
+    # injection checks with one byte index.
+    routable = routes.routable.tobytes()
 
     ch_src = sim.ch_src
     ch_dst = sim.ch_dst

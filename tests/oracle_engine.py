@@ -35,6 +35,7 @@ import random
 from typing import Iterator
 
 from repro.obs.hooks import begin_run
+from repro.routing.updown import RoutingError
 from repro.simulation.engine import (
     _EJECT,
     _EV_ARB,
@@ -44,10 +45,19 @@ from repro.simulation.engine import (
     _LINK,
     Simulator,
 )
+from repro.simulation.fastpath import build_candidate_table
 from repro.simulation.packet import Packet
+from repro.simulation.routes import CandidateRows
 from repro.simulation.stats import SimResult
 
-__all__ = ["engine_context", "reference_engine", "run_on", "run_reference"]
+__all__ = [
+    "assert_routes_match_oracle",
+    "engine_context",
+    "oracle_rows",
+    "reference_engine",
+    "run_on",
+    "run_reference",
+]
 
 
 def run_reference(sim: Simulator) -> SimResult:
@@ -145,6 +155,63 @@ def run_on(sim: Simulator, engine: str) -> SimResult:
 # ----------------------------------------------------------------------
 # Virtual-channel classes
 # ----------------------------------------------------------------------
+def oracle_rows(sim: Simulator, via: bool = False) -> dict[int, list | None]:
+    """Every ``switch * leaves + leaf`` key's candidate channels as
+    :meth:`Simulator._output_candidates` lists them: ``None`` where it
+    raises :class:`RoutingError`, ``[]`` where it delivers.
+
+    With ``via`` the leaf is a Valiant intermediate leaf instead of the
+    destination; the via leaf itself, where the reference clears the
+    via and routes to the destination, is left out.
+    """
+    topo = sim.topo
+    hosts = topo.hosts_per_leaf
+    n_leaves = topo.num_leaves
+    rows: dict[int, list | None] = {}
+    for switch in range(topo.num_switches):
+        for leaf in range(n_leaves):
+            if via and switch == leaf:
+                continue
+            if via:
+                packet = Packet(src=0, dst=0, created=0, via=leaf * hosts)
+            else:
+                packet = Packet(src=0, dst=leaf * hosts, created=0)
+            try:
+                cands = sim._output_candidates(switch, packet)
+            except RoutingError:
+                rows[switch * n_leaves + leaf] = None
+                continue
+            assert packet.via is None or via
+            if cands and sim.ch_kind[cands[0]] == _EJECT:
+                cands = []
+            rows[switch * n_leaves + leaf] = cands
+    return rows
+
+
+def assert_routes_match_oracle(sim: Simulator, via: bool = False) -> None:
+    """Both engines' rows from ``sim``'s route state equal
+    :func:`oracle_rows` for every key, in order: the exact engine's
+    :class:`CandidateRows` (read in scrambled order) and the non-dummy
+    cells of the relaxed engine's per-head rows.  Unroutable keys
+    agree: ``None`` for the exact engine, an all-dummy row for the
+    relaxed one."""
+    routes = build_candidate_table(sim)
+    expected = oracle_rows(sim, via)
+    keys = list(expected)
+    random.Random(len(keys)).shuffle(keys)
+    exact = CandidateRows(routes)
+    for key in keys:
+        assert exact[key] == expected[key], key
+    keys.sort()
+    n_leaves = routes.num_leaves
+    switches = [key // n_leaves for key in keys]
+    leaves = [key % n_leaves for key in keys]
+    matrix = routes.candidate_matrix(switches, leaves)
+    for key, row in zip(keys, matrix.tolist()):
+        listed = [c for c in row if c != routes.dummy]
+        assert listed == (expected[key] or []), key
+
+
 def _vc_class(sim: Simulator, packet: Packet) -> tuple[int, int]:
     """Half-open VC index range the packet may occupy downstream.
 

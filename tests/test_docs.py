@@ -37,6 +37,18 @@ class TestApiDocGenerator:
         assert "threshold_radix" in text
         assert "updown_probability" in text
 
+    def test_api_md_matches_generator(self):
+        """docs/API.md is exactly what the generator renders from the
+        source; rerun ``python scripts/gen_api_docs.py`` after an API
+        change."""
+        sys.path.insert(0, str(ROOT / "scripts"))
+        try:
+            from gen_api_docs import render
+        finally:
+            sys.path.pop(0)
+        api = (ROOT / "docs" / "API.md").read_text()
+        assert render() == api
+
     def test_api_md_covers_core_symbols(self):
         api = (ROOT / "docs" / "API.md").read_text()
         for symbol in ("radix_regular_rfc", "UpDownRouter", "Simulator",

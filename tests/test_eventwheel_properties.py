@@ -6,16 +6,17 @@
    discipline (never schedule into the past) -- including events past
    the horizon, which the wheel drops at push time and the heap never
    pops (the reference loop breaks on them).
-2. CSR candidate tables from
-   :func:`~repro.simulation.fastpath.build_candidate_table` agree with
-   :meth:`Simulator._output_candidates` for every (switch,
-   destination, phase) on randomly generated small RFCs, CFTs and
-   packed RFCs, including pruned (faulted) instances, non-minimal
-   routing and RFCs whose leaf masks span several ``uint64`` words.
-   The tables are compared array for array (``offsets``, ``values``,
-   ``flags``, dtypes included) with a table built key by key from the
-   reference, and one pin does the same on the RFC(16, 256, 3)
-   instance of the benchmark's exact workload.
+2. The route state from
+   :func:`~repro.simulation.fastpath.build_candidate_table` lists the
+   candidates of :meth:`Simulator._output_candidates` for every
+   (switch, destination, phase) on randomly generated small RFCs, CFTs
+   and packed RFCs, including pruned (faulted) instances, non-minimal
+   routing and RFCs whose leaf masks span several ``uint64`` words:
+   both the exact engine's lazily listed rows and the relaxed engine's
+   per-head rows, in order (``oracle_engine.assert_routes_match_oracle``).
+   One pin does the same on the RFC(16, 256, 3) instance of the
+   benchmark's exact workload.  The ``csr_table`` test names are those
+   of the per-key candidate table the route state replaced.
 """
 
 import heapq
@@ -28,19 +29,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.rfc import radix_regular_rfc, rfc_with_updown
-from repro.routing.table import CandidateRows, CsrTable
-from repro.routing.updown import RoutingError, UpDownRouter
+from repro.routing.updown import UpDownRouter
 from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator
-from repro.simulation.fastpath import (
-    EventWheel,
-    _channel_lookup,
-    build_candidate_table,
-)
-from repro.simulation.packet import Packet
+from repro.simulation.fastpath import EventWheel, build_candidate_table
+from repro.simulation.routes import CandidateRows, _channel_lookup
 from repro.simulation.traffic import make_traffic
 from repro.topologies.fattree import commodity_fat_tree
 from repro.topologies.packed import PackedFoldedClos, packed_radix_regular_rfc
+
+from oracle_engine import assert_routes_match_oracle
 
 # ----------------------------------------------------------------------
 # Event wheel vs heapq
@@ -157,7 +155,7 @@ def test_wheel_rejects_negative_horizon():
 
 
 # ----------------------------------------------------------------------
-# CSR candidate tables vs the reference router
+# Route state vs the reference router
 # ----------------------------------------------------------------------
 
 rfc_configs = st.fixed_dictionaries(
@@ -184,61 +182,9 @@ def _build_sim(topo, removed, valiant=False, minimal=True):
     return Simulator(topo, traffic, 0.5, params, removed)
 
 
-def _reference_row(sim, switch, packet):
-    """(flag, candidate channel ids) as the reference engine sees it."""
-    try:
-        cands = sim._output_candidates(switch, packet)
-    except RoutingError:
-        return CsrTable.UNROUTABLE, []
-    if cands and sim.ch_kind[cands[0]] != 0:  # _LINK
-        return CsrTable.DELIVER, []
-    return CsrTable.ROUTE, cands
-
-
-def _build_table(num_sources, num_dests, entry):
-    """Materialize ``entry(source, dest) -> (flag, candidates)`` as a
-    :class:`CsrTable`, key by key in row-major (source-major) order."""
-    offsets = np.zeros(num_sources * num_dests + 1, dtype=np.int64)
-    flags = np.zeros(num_sources * num_dests, dtype=np.uint8)
-    values = []
-    key = 0
-    for source in range(num_sources):
-        for dest in range(num_dests):
-            flag, candidates = entry(source, dest)
-            flags[key] = flag
-            values.extend(candidates)
-            key += 1
-            offsets[key] = len(values)
-    return CsrTable(
-        num_sources, num_dests, offsets, np.asarray(values, dtype=np.int32), flags
-    )
-
-
-def _reference_table(sim):
-    """Folded Clos table built key by key from the reference engine."""
-    topo = sim.topo
-    hosts = topo.hosts_per_leaf
-
-    def entry(switch, leaf):
-        packet = Packet(src=0, dst=leaf * hosts, created=0)
-        return _reference_row(sim, switch, packet)
-
-    return _build_table(topo.num_switches, topo.num_leaves, entry)
-
-
-def _assert_same_table(table, reference):
-    assert table.num_sources == reference.num_sources
-    assert table.num_dests == reference.num_dests
-    for name in ("offsets", "values", "flags"):
-        got, want = getattr(table, name), getattr(reference, name)
-        assert got.dtype == want.dtype, name
-        assert np.array_equal(got, want), name
-
-
 def _check_folded(topo, faults, minimal=True):
     removed = topo.links()[:faults]
-    sim = _build_sim(topo, removed, minimal=minimal)
-    _assert_same_table(build_candidate_table(sim), _reference_table(sim))
+    assert_routes_match_oracle(_build_sim(topo, removed, minimal=minimal))
 
 
 @given(config=rfc_configs)
@@ -293,22 +239,29 @@ def test_csr_table_matches_reference_multiword(config):
 
 
 def test_csr_table_pinned_uniform_2k():
-    """RFC(16, 256, 3) seed 1, the benchmark's exact-engine instance."""
+    """RFC(16, 256, 3) seed 1, the benchmark's exact-engine instance:
+    every key against the oracle, and the key census the table it
+    replaced held."""
     topo, _attempts = rfc_with_updown(16, 256, 3, rng=1)
     sim = _build_sim(topo, None)
-    table = build_candidate_table(sim)
-    _assert_same_table(table, _reference_table(sim))
-    assert len(table.flags) == 163840
-    assert len(table.values) == 640334
-    # ROUTE, DELIVER (one per leaf), UNROUTABLE (roots above other
-    # leaves' subtrees).
-    assert np.bincount(table.flags).tolist() == [143109, 256, 20475]
+    assert_routes_match_oracle(sim)
+    routes = build_candidate_table(sim)
+    assert routes.ascent.shape == (256, 641)
+    assert routes.ascent.dtype == np.int8
+    rows = CandidateRows(routes)
+    listed = [rows[key] for key in range(640 * 256)]
+    # Routed, delivered (one per leaf) and unroutable keys (roots above
+    # other leaves' subtrees), and every candidate of every key.
+    assert sum(bool(row) for row in listed) == 143109
+    assert sum(row == [] for row in listed) == 256
+    assert sum(row is None for row in listed) == 20475
+    assert sum(len(row) for row in listed if row) == 640334
 
 
 @given(config=rfc_configs)
 def test_csr_table_matches_reference_valiant_phase(config):
     """The Valiant randomization phase routes toward the via leaf with
-    the same table -- verify against the reference's via branch."""
+    the same keys -- verify against the reference's via branch."""
     assume(config["radix"] <= config["n1"])
     topo = radix_regular_rfc(
         config["radix"], config["n1"], config["levels"], rng=config["seed"]
@@ -316,27 +269,13 @@ def test_csr_table_matches_reference_valiant_phase(config):
     if topo.num_leaves < 2:
         return
     sim = _build_sim(topo, None, valiant=True, minimal=config["minimal"])
-    table = build_candidate_table(sim)
-    hosts = topo.hosts_per_leaf
-    for switch in range(topo.num_switches):
-        for via_leaf in range(topo.num_leaves):
-            if sim.level_of[switch] == 0 and sim.index_of[switch] == via_leaf:
-                # At the via leaf the reference clears the via and falls
-                # through to destination routing -- covered above.
-                continue
-            packet = Packet(
-                src=0, dst=0, created=0, via=via_leaf * hosts
-            )
-            flag, cands = _reference_row(sim, switch, packet)
-            assert packet.via is not None  # reference must not clear it
-            assert table.flag(switch, via_leaf) == flag
-            assert list(table.candidates(switch, via_leaf)) == cands
+    assert_routes_match_oracle(sim, via=True)
 
 
 def test_csr_table_from_pure_python_router():
     """A router built without the numpy kernels packs its big-int
-    tables on demand; the table must not depend on which path built
-    them."""
+    tables on demand; the route state must not depend on which path
+    built them."""
     topo = radix_regular_rfc(6, 8, 3, rng=4)
     sim = _build_sim(topo, topo.links()[:2])
     accel_masks = sim.router.packed_reach()
@@ -345,7 +284,7 @@ def test_csr_table_from_pure_python_router():
     )
     for fast, slow in zip(accel_masks, sim.router.packed_reach()):
         assert [m.tolist() for m in fast] == [m.tolist() for m in slow]
-    _assert_same_table(build_candidate_table(sim), _reference_table(sim))
+    assert_routes_match_oracle(sim)
 
 
 def test_channel_lookup_keeps_last_write():
@@ -369,27 +308,31 @@ def test_channel_lookup_keeps_last_write():
 
 
 def test_candidate_rows_mirror_arrays():
-    """Every key of the lazily built rows equals the per-key list mirror
-    the exact engine used to build up front: the key's candidate slice
-    as a list, ``None`` on UNROUTABLE."""
-    table = _build_table(
-        2,
-        3,
-        lambda s, d: (
-            CsrTable.UNROUTABLE if (s, d) == (1, 2) else CsrTable.ROUTE,
-            [] if (s, d) == (1, 2) else [s * 10 + d],
-        ),
-    )
-    rows = CandidateRows(table)
+    """Rows are listed on first read only, as plain ``int`` lists: a
+    key's candidates, ``[]`` at its own leaf, ``None`` when the pair is
+    unroutable."""
+    topo, _ = rfc_with_updown(8, 16, 3, rng=7)
+    sim = _build_sim(topo, topo.links()[::3])
+    routes = build_candidate_table(sim)
+    rows = CandidateRows(routes)
     assert len(rows) == 0  # nothing is listed before it is read
-    assert [rows[key] for key in range(6)] == [[0], [1], [2], [10], [11], None]
-    assert len(rows) == 6
-    assert all(type(c) is int for key in range(5) for c in rows[key])
+    n_leaves = routes.num_leaves
+    # Keys are ``switch * leaves + leaf``; ``ascent`` is leaf-major.
+    unroutable = np.flatnonzero(routes.ascent[:, :-1].T == routes.no_route)
+    assert unroutable.size
+    assert rows[int(unroutable[0])] is None
+    assert rows[3 * n_leaves + 3] == []
+    src, dst = np.argwhere(routes.routable & ~np.eye(n_leaves, dtype=bool))[0]
+    routed = rows[int(src) * n_leaves + int(dst)]
+    assert routed and all(type(c) is int for c in routed)
+    assert len(rows) == 3
 
 
 def test_candidate_rows_match_simulator_table():
-    """On a faulted RFC's channel table (ROUTE, DELIVER and UNROUTABLE
-    keys), the rows read in scrambled order equal the CSR slices."""
+    """On a faulted RFC (routed, delivered and unroutable keys), the
+    rows read in scrambled order equal the relaxed engine's per-head
+    rows without their dummy padding, and ``None`` marks exactly the
+    all-dummy rows that do not deliver."""
     topo, _ = rfc_with_updown(8, 16, 3, rng=7)
     sim = Simulator(
         topo,
@@ -398,14 +341,16 @@ def test_candidate_rows_match_simulator_table():
         SimulationParams(),
         topo.links()[::3],
     )
-    table = build_candidate_table(sim)
-    assert (table.flags == CsrTable.UNROUTABLE).any()
-    rows = CandidateRows(table)
-    keys = list(range(len(table.flags)))
+    routes = build_candidate_table(sim)
+    n_keys = topo.num_switches * routes.num_leaves
+    switches, leaves = np.divmod(np.arange(n_keys), routes.num_leaves)
+    matrix = routes.candidate_matrix(switches, leaves).tolist()
+    rows = CandidateRows(routes)
+    keys = list(range(n_keys))
     random.Random(5).shuffle(keys)
     for key in keys:
-        lo, hi = table.offsets[key], table.offsets[key + 1]
-        if table.flags[key] == CsrTable.UNROUTABLE:
-            assert rows[key] is None
+        listed = [c for c in matrix[key] if c != routes.dummy]
+        if rows[key] is None:
+            assert listed == [] and switches[key] != leaves[key]
         else:
-            assert rows[key] == table.values[lo:hi].tolist()
+            assert rows[key] == listed
