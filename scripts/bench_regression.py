@@ -86,31 +86,34 @@ def bench(repeats: int, quick: bool) -> dict:
     # engines -- their contract is bit-for-bit.  The relaxed engine
     # draws from a different (counter-based) RNG, so it is held to
     # repeat determinism plus a throughput-plausibility band instead.
-    engines: dict[str, dict] = {}
-    for engine in ("reference", "fast", "relaxed"):
-        if engine == "relaxed":
-            eng_params = params.scaled(rng_mode="relaxed")
-        else:
-            eng_params = params
-        elapsed = 0.0
-        checksum = None
-        for _ in range(repeats):
+    # The engines run interleaved for ``repeats`` rounds and each keeps
+    # its best wall time, so a burst of machine noise costs one run of
+    # one engine instead of skewing a ratio the speedup floors gate.
+    engine_params = {
+        "reference": params,
+        "fast": params,
+        "relaxed": params.scaled(rng_mode="relaxed"),
+    }
+    best_wall = dict.fromkeys(engine_params, float("inf"))
+    checksums: dict[str, tuple] = {}
+    for _ in range(repeats):
+        for engine, eng_params in engine_params.items():
             result, wall = _run_once(topo, eng_params, load, engine=engine)
-            elapsed += wall
+            best_wall[engine] = min(best_wall[engine], wall)
             sig = (result.accepted_load, result.avg_latency,
                    result.delivered_packets)
-            if checksum is None:
-                checksum = sig
-            elif checksum != sig:
+            if checksums.setdefault(engine, sig) != sig:
                 raise AssertionError(
                     f"non-deterministic repeat in {engine} engine"
                 )
-        cycles = params.horizon * repeats
-        engines[engine] = {
-            "signature": list(checksum),
-            "wall_seconds": round(elapsed, 4),
-            "cycles_per_sec": round(cycles / elapsed, 1),
+    engines: dict[str, dict] = {
+        engine: {
+            "signature": list(checksums[engine]),
+            "wall_seconds": round(best_wall[engine], 4),
+            "cycles_per_sec": round(params.horizon / best_wall[engine], 1),
         }
+        for engine in engine_params
+    }
     if engines["fast"]["signature"] != engines["reference"]["signature"]:
         raise AssertionError(
             "fast engine drifted from the reference engine: "
@@ -529,7 +532,11 @@ def main(argv: list[str] | None = None) -> int:
         help="graphs-bench output path (default: repo-root "
              "BENCH_graphs.json)",
     )
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument(
+        "--repeats", type=int, default=3,
+        help="runs per engine (interleaved, best kept) and per graphs "
+             "kernel",
+    )
     parser.add_argument("--quick", action="store_true",
                         help="shorter runs (CI smoke)")
     parser.add_argument(

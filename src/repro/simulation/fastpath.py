@@ -28,6 +28,25 @@ reference engine the test suite keeps as its oracle
   per-bucket FIFO order *is* ``seq`` order, so the wheel dequeues in
   exactly the heap's order without the log-n tuple churn (proven for
   arbitrary interleavings by ``tests/test_eventwheel_properties.py``).
+* **Occupied, wakeable units only** -- the reference scans every input
+  unit of a switch at every arbitration, and re-derives the candidates
+  of a blocked head every time it looks.  The fast path keeps one int
+  bitmask per switch over the positions of ``sim.in_units``: a bit is
+  set when that unit's queue goes from empty to non-empty (a forward
+  or an injection) and cleared when a grant empties it.  Visiting the
+  set bits lowest first is the reference's unit order minus its empty
+  queues, so requests, ``rng.choice`` calls and arbitration counts are
+  unchanged.  A head that finds no viable output records a wake
+  cycle: its eject channel's ``ch_busy`` when delivering, else the
+  least ``ch_busy`` over its candidates -- at or before ``t``, so no
+  skip, if a non-busy candidate only lacked a credit (credits return
+  at any cycle).  The head is skipped while its wake lies after ``t``
+  and its wake resets at the grant that pops it.  This is exact: a
+  blocked head draws no RNG, makes no request and has no side effect
+  (its Valiant ``via`` reset happened at its first look), and
+  ``ch_busy`` only grows (a grant needs ``ch_busy <= t`` and writes
+  ``t + phits``), so no candidate frees before the recorded cycle.
+  Both are run state built inside :func:`run_fast`.
 
 Equivalence contract (enforced by ``tests/test_fastpath_differential
 .py``): same RNG call order and arguments, same
@@ -52,6 +71,7 @@ and will be caught by the differential suite.
 from __future__ import annotations
 
 import math
+from array import array
 
 from ..obs.counters import RunCounters
 from ..obs.hooks import begin_run
@@ -181,6 +201,25 @@ def run_fast(sim) -> SimResult:
         for row in sim.in_units
     ]
 
+    # Occupancy (module docstring): bit ``pos`` of ``occupied[switch]``
+    # is set while the queue of ``units[switch][pos]`` holds a packet.
+    # ``unit_pos`` maps a queue ``cid * vcs + vc`` to its position at
+    # its switch, taken from ``sim.in_units`` as given (any unit order);
+    # an unsigned-int array takes half a list's bytes.
+    # ``wakes[switch][pos]`` is the cycle before which that unit's head
+    # cannot move.
+    unit_pos = array("I", [0]) * (len(ch_kind) * vcs)
+    occupied = [0] * len(units)
+    wakes = []
+    for switch, row in enumerate(units):
+        mask = 0
+        for pos, (cid, vc, queue, _) in enumerate(row):
+            unit_pos[cid * vcs + vc] = pos
+            if queue:
+                mask |= 1 << pos
+        occupied[switch] = mask
+        wakes.append([0] * len(row))
+
     # Leaf ``i`` is flat switch ``i`` (leaves come first in switch-id
     # order), so a leaf index doubles as its switch id below.
     hosts = topo.hosts_per_leaf
@@ -281,17 +320,25 @@ def run_fast(sim) -> SimResult:
                 granted: set[int] = set()
                 any_grant = False
                 switch_units = units[switch]
+                switch_wakes = wakes[switch]
                 for _ in range(iterations):
                     requests: dict[int, list] = {}
-                    for unit in switch_units:
-                        queue = unit[2]
-                        if not queue:
+                    # Occupied units in ascending position: the
+                    # reference's unit order minus its empty queues.
+                    m = occupied[switch]
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        pos = low.bit_length() - 1
+                        if switch_wakes[pos] > t:
                             continue
+                        unit = switch_units[pos]
                         cid = unit[0]
                         if granted and cid in granted:
                             continue
                         if unit[3] and ch_blocked[cid] > t:
                             continue
+                        queue = unit[2]
                         ready, packet = queue[0]
                         if ready > t:
                             continue
@@ -320,6 +367,7 @@ def run_fast(sim) -> SimResult:
                             # RNG draw -- as in the reference.
                             out = eject_channel[packet.dst]
                             if ch_busy[out] > t:
+                                switch_wakes[pos] = ch_busy[out]
                                 continue
                         else:
                             if cands is None:
@@ -347,6 +395,14 @@ def run_fast(sim) -> SimResult:
                                         viable.append(out)
                                         break
                             if not viable:
+                                # ``ch_busy`` only grows, so no
+                                # candidate frees before the earliest
+                                # busy one; a non-busy candidate (out of
+                                # credit) puts the minimum at or before
+                                # ``t``, which never skips.
+                                switch_wakes[pos] = min(
+                                    [ch_busy[out] for out in cands], default=0
+                                )
                                 continue
                             if len(viable) == 1:
                                 out = viable[0]
@@ -358,9 +414,11 @@ def run_fast(sim) -> SimResult:
                                 out = choice(viable)
                         lst = requests.get(out)
                         if lst is None:
-                            requests[out] = [(cid, unit[1], packet, queue)]
+                            requests[out] = [
+                                (cid, unit[1], packet, queue, pos)
+                            ]
                         else:
-                            lst.append((cid, unit[1], packet, queue))
+                            lst.append((cid, unit[1], packet, queue, pos))
 
                     if not requests:
                         break
@@ -369,7 +427,7 @@ def run_fast(sim) -> SimResult:
                             total_requests += len(contenders)
                     for out, contenders in requests.items():
                         if len(contenders) == 1:
-                            cid, vc, packet, queue = contenders[0]
+                            cid, vc, packet, queue, pos = contenders[0]
                         elif rotating:
                             # ---- mirrors _rotate_pick ----
                             if arb_pointers is None:
@@ -388,12 +446,15 @@ def run_fast(sim) -> SimResult:
                                 ordered[0],
                             )
                             arb_pointers[out] = chosen[0]
-                            cid, vc, packet, queue = chosen
+                            cid, vc, packet, queue, pos = chosen
                         else:
-                            cid, vc, packet, queue = choice(contenders)
+                            cid, vc, packet, queue, pos = choice(contenders)
 
                         # ==== mirrors the reference _grant ===============
                         del queue[0]
+                        if not queue:
+                            occupied[switch] ^= 1 << pos
+                        switch_wakes[pos] = 0
                         busy_until = t + phits
                         ch_busy[out] = busy_until
                         lo = t if t > warmup else warmup
@@ -464,6 +525,11 @@ def run_fast(sim) -> SimResult:
                             packet.hops += 1
                             down_queue = ch_queues[out][w]
                             down_queue.append((t + latency, packet))
+                            downstream = ch_dst[out]
+                            if len(down_queue) == 1:
+                                occupied[downstream] |= (
+                                    1 << unit_pos[out * vcs + w]
+                                )
                             if observing:
                                 if counting:
                                     c_grants[out] += 1
@@ -475,14 +541,13 @@ def run_fast(sim) -> SimResult:
                                         t,
                                         packet,
                                         switch,
-                                        ch_dst[out],
+                                        downstream,
                                         w,
                                         slots[w],
                                         len(down_queue),
                                     )
                             arrive = t + latency
                             if arrive <= horizon:
-                                downstream = ch_dst[out]
                                 mark = arrive * n_sw + downstream
                                 if mark not in arb_marks:
                                     arb_marks.add(mark)
@@ -588,10 +653,11 @@ def run_fast(sim) -> SimResult:
                                 if on_inject is not None:
                                     on_inject(t, packet, qlen)
                             if qlen == 1:
+                                leaf = ch_dst[cid]
+                                occupied[leaf] |= 1 << unit_pos[cid * vcs]
                                 blocked = ch_blocked[cid]
                                 when = blocked if blocked > t else t
                                 if when <= horizon:
-                                    leaf = ch_dst[cid]
                                     mark = when * n_sw + leaf
                                     if mark not in arb_marks:
                                         arb_marks.add(mark)
@@ -646,10 +712,11 @@ def run_fast(sim) -> SimResult:
                         if on_inject is not None:
                             on_inject(t, packet, qlen)
                     if qlen == 1:
+                        leaf = ch_dst[cid]
+                        occupied[leaf] |= 1 << unit_pos[cid * vcs]
                         blocked = ch_blocked[cid]
                         when = blocked if blocked > t else t
                         if when <= horizon:
-                            leaf = ch_dst[cid]
                             mark = when * n_sw + leaf
                             if mark not in arb_marks:
                                 arb_marks.add(mark)

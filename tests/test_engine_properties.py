@@ -28,6 +28,10 @@ contracts:
   the per-switch input-unit order changes which packets the shared
   RNG stream favors, so it changes results; but it must change them
   *identically* in both exact engines.
+* **Blocked-head skips** -- on credit-bound configurations (one-packet
+  buffers, one or two VCs), where the fast engine skips blocked heads
+  until their wake cycle, both exact engines produce the same results,
+  busy-cycle counters and traced event stream.
 * **Exception parity** -- malformed configurations raise the same
   validation errors whatever ``rng_mode`` (engine) they select, and a
   traffic pattern that blows up mid-run propagates the same exception
@@ -48,6 +52,7 @@ from oracle_engine import run_on
 
 from repro.core.rfc import radix_regular_rfc, rfc_with_updown
 from repro.core.ancestors import has_updown_routing_of
+from repro.obs import TraceWriter, TracingObserver
 from repro.obs.hooks import SimObserver
 from repro.simulation.config import SimulationParams
 from repro.simulation.engine import Simulator
@@ -318,6 +323,69 @@ def test_arbitration_stable_under_unit_permutation(config, perm_seed, arbiter):
             shuffler.shuffle(row)
         results.append((run_on(sim, engine), sim.ch_busy_cycles))
     assert results[0] == results[1]
+
+
+credit_bound_configs = st.fixed_dictionaries(
+    {
+        "radix": st.sampled_from([4, 6, 8]),
+        "n1": st.sampled_from([8, 12, 16]),
+        "levels": st.sampled_from([2, 3]),
+        "load": st.floats(min_value=0.3, max_value=1.0),
+        "vcs": st.integers(min_value=1, max_value=2),
+        "phits": st.sampled_from([1, 4]),
+        "latency": st.integers(min_value=1, max_value=3),
+        "iterations": st.integers(min_value=1, max_value=3),
+        "arbiter": st.sampled_from(["random", "rotating"]),
+        "up_selection": st.sampled_from(["random", "adaptive"]),
+        "valiant": st.booleans(),
+        "traffic": st.sampled_from(["uniform", "fixed-random"]),
+        "seed": st.integers(min_value=0, max_value=1_000),
+        "perm_seed": st.integers(min_value=0, max_value=1_000),
+    }
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=credit_bound_configs)
+def test_blocked_head_skips_match_reference(config):
+    """One-packet buffers keep heads blocked on busy outputs and on
+    missing credits at once, which is where the fast engine skips a
+    head until its wake cycle (a credit-starved head must never be
+    skipped).  Results, busy-cycle counters and the full event stream,
+    arbitration records included, must match the reference, on
+    shuffled input units."""
+    topo = radix_regular_rfc(
+        config["radix"], config["n1"], config["levels"], rng=config["seed"]
+    )
+    params = SimulationParams(
+        measure_cycles=200,
+        warmup_cycles=50,
+        virtual_channels=config["vcs"],
+        buffer_packets=1,
+        packet_phits=config["phits"],
+        link_latency=config["latency"],
+        arbitration_iterations=config["iterations"],
+        arbiter=config["arbiter"],
+        up_selection=config["up_selection"],
+        valiant=config["valiant"] and config["vcs"] >= 2,
+        seed=config["seed"],
+    )
+    outcomes = []
+    for engine in ("reference", "fast"):
+        writer = TraceWriter(None)
+        traffic = make_traffic(
+            config["traffic"], topo.num_terminals, rng=config["seed"] + 1
+        )
+        sim = Simulator(
+            topo, traffic, config["load"], params,
+            observer=TracingObserver(writer, include_arb=True),
+        )
+        shuffler = random.Random(config["perm_seed"])
+        for row in sim.in_units:
+            shuffler.shuffle(row)
+        result = run_on(sim, engine)
+        outcomes.append((result, sim.ch_busy_cycles, writer.records()))
+    assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=25, deadline=None)
